@@ -25,7 +25,7 @@ Rank-path hot path
 ------------------
 The mining engine works on **rank paths** — each vector's cumulative-sum
 tuple (Lemma 4.1.1), precomputed once at PLT construction and carried
-through every conditional level (see :meth:`~repro.core.plt.PLT.rank_path_index`).
+through every conditional level (see :class:`~repro.core.flat.FlatPLT`).
 On this representation every per-vector quantity Algorithm 3 needs is
 O(1) instead of O(k):
 
@@ -39,12 +39,29 @@ The engine itself is an explicit work-stack (:func:`_mine_paths`) rather
 than recursion, so arbitrarily long frequent itemsets need no
 ``sys.setrecursionlimit`` games and frame overhead stays off the hot loop.
 
+One top level
+-------------
+Algorithm 3's top-level loop runs in one place,
+:func:`mine_conditional_flat_range`, over a
+:class:`~repro.core.flat.FlatPLT`'s columns: :func:`mine_conditional`
+lowers the PLT and mines the whole rank range, and the shared-memory
+workers mine disjoint ranges of an attached segment.  The input size
+picks one of two branches:
+
+* **dense pair matrix** — when :meth:`FlatPLT.pair_support_matrix` fits
+  its cap.  By Lemma 4.1.1 the local support of rank ``k`` in ``CD_j`` is
+  ``support({k, j})``, so the matrix replaces both the top-level
+  migration cascade and the per-bucket supports scan (:func:`_matrix_mine`);
+* **fused engine** — otherwise.  Buckets are materialised from the
+  columns and :func:`_mine_paths` runs the top level itself
+  (:func:`_fused_mine`).
+
 The delta-vector kernels (:func:`rank_supports_of_vectors`,
-:func:`build_conditional_buckets`, :func:`_consume_bucket`, :func:`_mine`)
-remain as the compatibility surface for callers that hold position vectors
-— the task partitioner, the on-disk store, closed/top-k/constraint miners
-and the tests; ``_mine`` converts to rank paths once at entry and runs the
-same engine.
+:func:`build_conditional_buckets`, :func:`_consume_bucket`) remain for
+callers that hold position vectors — the task partitioner, the on-disk
+store, closed/top-k/constraint miners and the tests;
+:func:`mine_conditional_block` converts a delta-keyed conditional
+database to rank paths once and runs the same engine.
 
 Anti-monotone pruning is fully exploited: a conditional structure only
 ever contains items that are frequent *together with* the current suffix.
@@ -53,14 +70,12 @@ ever contains items that are frequent *together with* the current suffix.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from itertools import accumulate, combinations as _combinations, compress as _compress
 
-try:  # optional acceleration for the top-level pass; see _mine_top_matrix
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
+import numpy as _np
 
+from repro.core.flat import FlatPLT
 from repro.core.plt import PLT
 from repro.core.position import PositionVector, RankPath, restrict_to_ranks
 from repro.errors import InvalidSupportError, MiningInterrupted
@@ -74,7 +89,6 @@ __all__ = [
     "build_conditional_buckets",
     "build_conditional_path_buckets",
     "rank_supports_of_vectors",
-    "rank_supports_of_paths",
 ]
 
 Buckets = dict[int, dict[PositionVector, int]]
@@ -97,15 +111,6 @@ def rank_supports_of_vectors(vectors: dict[PositionVector, int]) -> dict[int, in
         for p in vec:
             total += p
             supports[total] += freq
-    return dict(supports)
-
-
-def rank_supports_of_paths(paths: dict[RankPath, int]) -> dict[int, int]:
-    """Rank-path form of :func:`rank_supports_of_vectors` — no decoding."""
-    supports: dict[int, int] = defaultdict(int)
-    for path, freq in paths.items():
-        for r in path:
-            supports[r] += freq
     return dict(supports)
 
 
@@ -227,28 +232,6 @@ def _consume_bucket(
     return cd, support
 
 
-def _consume_path_bucket(
-    bucket: dict[RankPath, int], buckets: PathBuckets
-) -> tuple[dict[RankPath, int], int]:
-    """Rank-path form of :func:`_consume_bucket` (prefix key is ``path[-2]``)."""
-    support = 0
-    cd: dict[RankPath, int] = {}
-    cd_get = cd.get
-    buckets_get = buckets.get
-    for path, freq in bucket.items():
-        support += freq
-        prefix = path[:-1]
-        if prefix:
-            key = prefix[-1]
-            parent = buckets_get(key)
-            if parent is None:
-                buckets[key] = {prefix: freq}
-            else:
-                parent[prefix] = parent.get(prefix, 0) + freq
-            cd[prefix] = cd_get(prefix, 0) + freq
-    return cd, support
-
-
 # ---------------------------------------------------------------------------
 # the iterative rank-path mining engine
 # ---------------------------------------------------------------------------
@@ -275,8 +258,8 @@ def _mine_paths(
     child's first-level row, so the child's singletons are emitted here
     with their exact supports and every conditional structure at every
     depth stays singleton-free.  ``row`` is ``None`` only for structures
-    built externally with their singletons intact (the no-NumPy top level,
-    the rank-partition mode, the delta-vector wrapper).
+    built with their singletons intact (the fused top level of
+    :func:`_fused_mine` and :func:`mine_conditional_block`).
 
     Algorithm 3's ``for j = Max down to 1`` loop, driven by an explicit
     descending *schedule* of candidate ranks rather than an integer
@@ -488,36 +471,6 @@ def _mine_paths(
         n = len(order)
 
 
-def _mine(
-    buckets: Buckets,
-    suffix: tuple[int, ...],
-    min_support: int,
-    emit: Emit,
-    max_len: int | None,
-) -> None:
-    """Delta-vector entry point: convert to rank paths once, then mine.
-
-    Kept for callers that aggregate position vectors themselves (the
-    parallel partitioner's task bundles, the on-disk store's streamed
-    buckets).  The conversion is a single ``accumulate`` pass per distinct
-    vector; everything after runs on the rank-path engine.
-    """
-    ranks: set[int] = set()
-    path_buckets: PathBuckets = {}
-    for s, bucket in buckets.items():
-        pb: dict[RankPath, int] = {}
-        for vec, freq in bucket.items():
-            path = tuple(accumulate(vec))
-            pb[path] = freq
-            ranks.update(path)
-        path_buckets[s] = pb
-    # the schedule must cover every rank migration can surface as a bucket
-    # key — the union of ranks on all paths, NOT just the initial keys
-    _mine_paths(
-        path_buckets, sorted(ranks, reverse=True), suffix, min_support, emit, max_len
-    )
-
-
 def mine_conditional_block(
     prefixes: dict[PositionVector, int],
     rank: int,
@@ -555,65 +508,26 @@ def mine_conditional_block(
         )
 
 
-#: Rank-space ceiling for the pairwise co-occurrence matrix: the dense
-#: ``(R+1)^2`` float array must stay small (~15 MB at the cap) or the
-#: vectorised top level would cost more memory than it saves time.
-_PAIR_MATRIX_MAX_CELLS = 2_000_000
-
-
-def _pair_support_matrix(arrays, width: int):
-    """Dense pairwise co-occurrence counts over length-grouped matrices.
-
-    ``matrix[j, k]`` for ``j >= k`` is the exact support of ``{k, j}``
-    (and of ``{j}`` on the diagonal) — the local-frequency table the
-    whole vectorised top level runs on.  Range restrictions never change
-    these counts, so the matrix can be computed once and shared (the shm
-    driver precomputes it into the segment rather than paying the
-    bincount in every worker).
-    """
-    cells = width * width
-    total = _np.zeros(cells)
-    for length, (mat, ifreqs) in arrays.items():
-        freqs = ifreqs.astype(_np.float64)
-        if length == 1:
-            codes = (mat[:, 0] * width + mat[:, 0]).ravel()
-            total += _np.bincount(codes, weights=freqs, minlength=cells)
-            continue
-        iidx, kidx = _np.tril_indices(length)
-        codes = (mat[:, iidx] * width + mat[:, kidx]).ravel()
-        weights = _np.repeat(freqs, len(iidx))
-        total += _np.bincount(codes, weights=weights, minlength=cells)
-    return total.reshape(width, width)
-
-
 def _matrix_mine(
     arrays,
-    max_rank: int,
+    pair_support,
     lo: int,
     hi: int,
     min_support: int,
     emit: Emit,
     max_len: int | None,
     governor=None,
-    pair_support=None,
 ) -> None:
-    """Core of the vectorised top level over length-grouped path matrices.
+    """Dense-matrix branch of the top level over length-grouped path matrices.
 
-    ``arrays`` maps path length -> ``(mat, ifreqs)`` where ``mat`` is an
-    int64 ``(n, length)`` matrix of stored rank paths and ``ifreqs`` the
-    matching frequency column (the shape :meth:`FlatPLT.paths_by_length`
-    and :func:`_mine_top_matrix` both produce).  Mines every frequent
-    itemset whose *maximal* rank lies in ``[lo, hi)`` — itemsets partition
-    exactly by maximal rank, so disjoint ranges concatenate into the full
-    answer (the shared-memory workers' decomposition).  ``pair_support``
-    accepts a precomputed :func:`_pair_support_matrix` (the shm workers
-    read it straight off the shared segment); when ``None`` it is
-    computed here.
+    ``arrays`` is :meth:`FlatPLT.paths_by_length`'s ``{length: (mat,
+    ifreqs)}`` and ``pair_support`` :meth:`FlatPLT.pair_support_matrix`.
+    Mines every frequent itemset whose *maximal* rank lies in ``[lo, hi)``.
+    Conditional structures for each frequent ``j`` are built straight from
+    the matrices and descended with :func:`_mine_paths`; nothing below the
+    top level differs from the fused branch.
     """
-    width = max_rank + 1
-    if pair_support is None:
-        pair_support = _pair_support_matrix(arrays, width)
-
+    width = pair_support.shape[0]
     counters = _COUNTERS
     restricted = lo > 1 or hi < width
     # vectorised projection: every stored path truncated at every column
@@ -708,124 +622,70 @@ def _matrix_mine(
             )
 
 
-def _mine_top_matrix(
-    plt: PLT,
-    min_support: int,
-    emit: Emit,
-    max_len: int | None,
-    governor=None,
-) -> bool:
-    """Vectorised top level of Algorithm 3; returns False when inapplicable.
-
-    The local rank supports the top-level loop needs are, by Lemma 4.1.1,
-    exactly the pairwise co-occurrence counts: when bucket ``j`` is
-    consumed it holds every stored path truncated at ``j``, so the local
-    support of rank ``k`` in ``CD_j`` is ``support({j, k})``.  That whole
-    matrix is computable in a handful of NumPy ``bincount`` passes
-    (stored paths grouped by length, lower-triangle index pairs), which
-    replaces both the top-level migration cascade and the per-bucket
-    Python supports scan — the two quadratic costs of sparse mining.
-    Conditional structures for each frequent ``j`` are then built directly
-    from an inverted occurrence index and descended with
-    :func:`_mine_paths`; nothing below the top level changes.
-
-    Falls back (returns False) when NumPy is unavailable or the rank space
-    is too large for a dense matrix.
-    """
-    if _np is None:
-        return False
-    by_len: dict[int, list[tuple[RankPath, int]]] = defaultdict(list)
-    max_rank = 0
-    for path, freq in plt.iter_rank_paths():
-        by_len[len(path)].append((path, freq))
-        if path[-1] > max_rank:
-            max_rank = path[-1]
-    if not by_len:
-        return True  # nothing stored, nothing to mine
-    width = max_rank + 1
-    if width * width > _PAIR_MATRIX_MAX_CELLS:
-        return False
-    arrays = {
-        length: (
-            _np.array([p for p, _ in entries], dtype=_np.int64),
-            _np.array([f for _, f in entries], dtype=_np.int64),
-        )
-        for length, entries in by_len.items()
-    }
-    _matrix_mine(
-        arrays, max_rank, 1, width, min_support, emit, max_len, governor=governor
-    )
-    return True
-
-
-def _mine_flat_matrix(
-    flat,
+def _fused_mine(
+    flat: FlatPLT,
     lo: int,
     hi: int,
     min_support: int,
     emit: Emit,
     max_len: int | None,
     governor=None,
-) -> bool:
-    """Vectorised range mining over a FlatPLT; False when inapplicable.
+) -> None:
+    """Fused-engine branch of the top level, for rank spaces above the cap.
 
-    The length-grouped matrices come straight off the flat columns (a few
-    NumPy gathers — no RankPath tuples are materialised for the group
-    step), so shared-memory workers pay array views, not decode loops.
+    Materialises path dicts only for sum-index keys ``>= lo`` (lower keys
+    are never consumed here).  Buckets at keys ``>= hi`` are consumed
+    first and emit nothing: their prefixes still owe migration, which
+    keeps the supports inside the range exact.  :func:`_mine_paths` then
+    runs the top level over ``[lo, hi)``.
     """
-    arrays = flat.paths_by_length()
-    if arrays is None:
-        return False
-    width = flat.max_rank + 1
-    if width * width > _PAIR_MATRIX_MAX_CELLS:
-        return False
-    if not arrays:
-        return True
-    _matrix_mine(
-        arrays,
-        flat.max_rank,
-        lo,
-        hi,
-        min_support,
-        emit,
-        max_len,
-        governor=governor,
-        pair_support=flat.pair_support_matrix(),
-    )
-    return True
-
-
-def _consume_path_bucket_from(
-    bucket: dict[RankPath, int], buckets: PathBuckets, lo: int
-) -> tuple[dict[RankPath, int], int]:
-    """:func:`_consume_path_bucket` variant for range-restricted sweeps.
-
-    Prefix migrations whose destination key falls below ``lo`` are
-    dropped — the range miner never consumes those buckets, so feeding
-    them is pure waste.  ``CD_j`` still receives *every* prefix
-    (conditional supports must stay exact regardless of the range).
-    """
-    support = 0
-    cd: dict[RankPath, int] = {}
-    cd_get = cd.get
-    buckets_get = buckets.get
-    for path, freq in bucket.items():
-        support += freq
-        prefix = path[:-1]
-        if prefix:
-            key = prefix[-1]
-            if key >= lo:
-                parent = buckets_get(key)
+    keys, boff = flat.bucket_keys, flat.bucket_offsets
+    off, freqs = flat.path_offsets, flat.freqs
+    n = 0
+    while n < flat.n_buckets and keys[n] >= lo:  # keys are stored descending
+        n += 1
+    # the kept buckets are a prefix of the columns; slicing one tuple of
+    # their cells yields each path tuple directly
+    ranks = tuple(flat.ranks[: off[boff[n]]])
+    buckets: PathBuckets = {
+        keys[b]: {
+            ranks[off[p] : off[p + 1]]: freqs[p]
+            for p in range(boff[b], boff[b + 1])
+        }
+        for b in range(n)
+    }
+    for j in range(flat.max_rank, hi - 1, -1):
+        bucket = buckets.pop(j, None)
+        if bucket is None:
+            continue
+        if governor is not None:
+            governor.tick(len(bucket))
+        for path, freq in bucket.items():
+            if len(path) > 1 and path[-2] >= lo:
+                key, prefix = path[-2], path[:-1]
+                parent = buckets.get(key)
                 if parent is None:
                     buckets[key] = {prefix: freq}
                 else:
                     parent[prefix] = parent.get(prefix, 0) + freq
-            cd[prefix] = cd_get(prefix, 0) + freq
-    return cd, support
+    _mine_paths(
+        buckets, range(hi - 1, lo - 1, -1), (), min_support, emit, max_len,
+        governor=governor, track_top=True,
+    )
+
+
+def _check_args(min_support: int, max_len: int | None) -> None:
+    """Reject a support or length cap no mining run can honour."""
+    if min_support < 1:
+        raise InvalidSupportError(
+            f"absolute min_support must be >= 1, got {min_support}"
+        )
+    if max_len is not None and max_len < 1:
+        raise InvalidSupportError(f"max_len must be >= 1, got {max_len}")
 
 
 def mine_conditional_flat_range(
-    flat,
+    flat: FlatPLT,
     lo: int,
     hi: int,
     min_support: int,
@@ -835,57 +695,31 @@ def mine_conditional_flat_range(
 ) -> None:
     """Mine every frequent itemset whose maximal rank lies in ``[lo, hi)``.
 
-    Operates directly on a :class:`~repro.core.flat.FlatPLT`'s columns —
-    the worker side of the shared-memory transport.  Itemsets partition
+    Algorithm 3's one top level, over a
+    :class:`~repro.core.flat.FlatPLT`'s columns.  Itemsets partition
     exactly by their maximal (top-level) rank, so disjoint ranges mined by
     different workers concatenate into the complete answer with no
-    reconciliation, and each range's counts are exact because the sweep
-    still *migrates* prefixes from every bucket above ``lo`` (consuming
-    a rank ``>= hi`` contributes its prefixes without emitting).
+    reconciliation, and each range's counts are exact because prefixes
+    from every bucket above ``lo`` are still *migrated* (consuming a rank
+    ``>= hi`` contributes its prefixes without emitting).
 
-    Prefers the vectorised co-occurrence matrix restricted to the range;
-    falls back to a bucket sweep that materialises path dicts only for
-    sum-index keys ``>= lo`` (lower keys can never be consumed here).
+    Takes the dense pair-matrix branch (:func:`_matrix_mine`) when the
+    flat's matrix fits its cap, the fused engine (:func:`_fused_mine`)
+    otherwise.
     """
-    if min_support < 1:
-        raise InvalidSupportError(
-            f"absolute min_support must be >= 1, got {min_support}"
-        )
+    _check_args(min_support, max_len)
     lo = max(1, lo)
     hi = min(hi, flat.max_rank + 1)
     if lo >= hi or flat.n_paths == 0:
         return
-    if _mine_flat_matrix(flat, lo, hi, min_support, emit, max_len, governor=governor):
-        return
-    ranks_col, off, freqs_col = flat.ranks, flat.path_offsets, flat.freqs
-    keys, boff = flat.bucket_keys, flat.bucket_offsets
-    buckets: PathBuckets = {}
-    for b in range(flat.n_buckets):
-        key = keys[b]
-        if key < lo:
-            break  # bucket keys are stored descending
-        bucket: dict[RankPath, int] = {}
-        for p in range(boff[b], boff[b + 1]):
-            bucket[tuple(ranks_col[off[p] : off[p + 1]])] = freqs_col[p]
-        buckets[key] = bucket
-    for j in range(flat.max_rank, lo - 1, -1):
-        bucket = buckets.pop(j, None)
-        if bucket is None:
-            continue
-        if governor is not None:
-            governor.progress["mining_rank"] = j
-            governor.tick(len(bucket))
-        cd, support = _consume_path_bucket_from(bucket, buckets, lo)
-        if j >= hi or support < min_support:
-            continue
-        emit((j,), support)
-        if cd and (max_len is None or max_len > 1):
-            sub, sub_order = _build_path_buckets(cd, min_support)
-            if sub:
-                _mine_paths(
-                    sub, sub_order, (j,), min_support, emit, max_len,
-                    governor=governor,
-                )
+    pair_support = flat.pair_support_matrix()
+    if pair_support is None:
+        _fused_mine(flat, lo, hi, min_support, emit, max_len, governor=governor)
+    else:
+        _matrix_mine(
+            flat.paths_by_length(), pair_support, lo, hi, min_support, emit,
+            max_len, governor=governor,
+        )
 
 
 def mine_conditional(
@@ -893,10 +727,12 @@ def mine_conditional(
     min_support: int | None = None,
     *,
     max_len: int | None = None,
-    ranks: Iterator[int] | None = None,
     governor=None,
 ) -> list[tuple[tuple[int, ...], int]]:
     """Mine all frequent itemsets from a PLT (Algorithm 3).
+
+    Lowers the PLT with :meth:`FlatPLT.from_plt` and mines the whole rank
+    range through :func:`mine_conditional_flat_range`.
 
     Parameters
     ----------
@@ -906,10 +742,6 @@ def mine_conditional(
         Absolute count; defaults to the threshold the PLT was built with.
     max_len:
         Optional cap on itemset length (a standard practical extension).
-    ranks:
-        Restrict the *top-level* loop to these ranks (used by the parallel
-        executor's task partitioning).  Prefix migration for higher ranks
-        is still performed so counts stay exact.
     governor:
         Optional :class:`~repro.robustness.governor.ResourceGovernor`.
         When its budget trips (or its token is cancelled) the raised
@@ -925,10 +757,6 @@ def mine_conditional(
     """
     if min_support is None:
         min_support = plt.min_support
-    if min_support < 1:
-        raise InvalidSupportError(f"absolute min_support must be >= 1, got {min_support}")
-    if max_len is not None and max_len < 1:
-        raise InvalidSupportError(f"max_len must be >= 1, got {max_len}")
 
     results: list[tuple[tuple[int, ...], int]] = []
     # the engine constructs every itemset in ascending rank order (it
@@ -945,37 +773,12 @@ def mine_conditional(
             governor.note_itemsets()
             results.append((itemset, support))
 
+    flat = FlatPLT.from_plt(plt)
     try:
-        if ranks is None:
-            if _mine_top_matrix(plt, min_support, emit, max_len, governor=governor):
-                return results
-            buckets = plt.rank_path_index()
-            if buckets:
-                _mine_paths(
-                    buckets, range(max(buckets), 0, -1), (), min_support,
-                    emit, max_len, governor=governor, track_top=True,
-                )
-            return results
-        buckets = plt.rank_path_index()
-        wanted = set(ranks)
-        for j in range(max(buckets, default=0), 0, -1):
-            bucket = buckets.pop(j, None)
-            if bucket is None:
-                continue
-            if governor is not None:
-                governor.progress["mining_rank"] = j
-                governor.tick(len(bucket))
-            cd, support = _consume_path_bucket(bucket, buckets)
-            if j not in wanted or support < min_support:
-                continue
-            emit((j,), support)
-            if cd and (max_len is None or max_len > 1):
-                sub, sub_order = _build_path_buckets(cd, min_support)
-                if sub:
-                    _mine_paths(
-                        sub, sub_order, (j,), min_support, emit, max_len,
-                        governor=governor,
-                    )
+        mine_conditional_flat_range(
+            flat, 1, flat.max_rank + 1, min_support, emit, max_len,
+            governor=governor,
+        )
         return results
     except MiningInterrupted as exc:
         # everything emitted has its exact support; ranks strictly above

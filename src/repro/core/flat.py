@@ -1,10 +1,12 @@
-"""Columnar lowering of the PLT rank-path index — the shared-memory shape.
+"""Columnar lowering of the PLT rank-path index — the conditional miner's input.
 
-The mining kernels (PR 2) already intern every stored vector's rank path
-(cumulative-sum tuple, Lemma 4.1.1) grouped into sum-index buckets.  This
-module lowers that dict-of-dicts into five contiguous typed columns so
-the whole structure can live in a single ``multiprocessing.shared_memory``
-segment and be *mapped*, not copied, into worker processes:
+The PLT interns every stored vector's rank path (cumulative-sum tuple,
+Lemma 4.1.1) grouped into sum-index buckets.  This module lowers that
+dict-of-dicts into five contiguous typed columns.  They are the one input
+of Algorithm 3's top level
+(:func:`~repro.core.conditional.mine_conditional_flat_range`), in process
+and in worker processes alike: the whole structure can live in a single
+``multiprocessing.shared_memory`` segment and be *mapped*, not copied:
 
 ====================  ====  =============  =======================================
 column                type  items          meaning
@@ -17,17 +19,17 @@ column                type  items          meaning
 ====================  ====  =============  =======================================
 
 A sixth optional column, ``pair_support`` ("d", ``width**2``), carries the
-dense pairwise co-occurrence matrix when the driver precomputed it
-(:meth:`FlatPLT.compute_pair_support`) — range workers then read the one
-globally-shared table their restriction cannot shrink straight off the
-segment.
+dense pairwise co-occurrence matrix once :meth:`FlatPLT.pair_support_matrix`
+computed it — the driver computes it before :meth:`to_shared_memory`, so
+range workers read the one globally-shared table their restriction cannot
+shrink straight off the segment.  This module owns the dense-matrix
+decision: above :data:`_PAIR_MATRIX_MAX_CELLS` there is no matrix and the
+conditional miner takes its wide fallback.
 
 Columns are 8-byte aligned back to back in one buffer; the picklable
 ``meta`` dict (segment name, per-column lengths, the three scalars) is all
-a worker needs to :meth:`FlatPLT.attach`.  NumPy views over the columns
-are exposed through :meth:`as_numpy` when NumPy is importable; every
-consumer degrades to plain ``array``/``memoryview`` indexing otherwise,
-so the representation itself has no hard dependency.
+a worker needs to :meth:`FlatPLT.attach`.  NumPy (a hard dependency)
+supplies zero-copy views over the columns through :meth:`as_numpy`.
 
 Attach-side resource tracking: on Python < 3.13 every
 ``SharedMemory(create=False)`` *registers* the segment with the resource
@@ -44,11 +46,9 @@ from __future__ import annotations
 import os
 from array import array
 from collections.abc import Iterator
+from itertools import accumulate, chain
 
-try:  # optional acceleration; every method has a scalar fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
+import numpy as _np
 
 from repro.core.plt import PLT
 from repro.core.position import RankPath
@@ -66,8 +66,12 @@ FLAT_FIELDS: tuple[tuple[str, str], ...] = (
 
 _ITEMSIZE = {code: array(code).itemsize for code in ("I", "Q", "d")}
 
-if _np is not None:
-    _DTYPES = {"I": _np.dtype("uint32"), "Q": _np.dtype("uint64")}
+_DTYPES = {"I": _np.dtype("uint32"), "Q": _np.dtype("uint64")}
+
+#: Rank-space ceiling for the pairwise co-occurrence matrix: the dense
+#: ``(R+1)^2`` float array must stay small (~15 MB at the cap) or the
+#: vectorised top level would cost more memory than it saves time.
+_PAIR_MATRIX_MAX_CELLS = 2_000_000
 
 #: Column alignment inside the shared buffer.
 _ALIGN = 8
@@ -82,14 +86,40 @@ def _segment_name() -> str:
     return f"plt_shm_{os.getpid()}_{os.urandom(4).hex()}"
 
 
+def _pair_support_matrix(arrays, width: int):
+    """Dense pairwise co-occurrence counts over length-grouped matrices.
+
+    ``arrays`` is :meth:`FlatPLT.paths_by_length`'s output.  By Lemma
+    4.1.1 the local support of rank ``k`` in ``CD_j`` is exactly
+    ``support({k, j})``, so this one table replaces the conditional top
+    level's migration cascade and per-bucket supports scan.  Range
+    restrictions never change these counts.
+    """
+    cells = width * width
+    total = _np.zeros(cells)
+    for length, (mat, ifreqs) in arrays.items():
+        freqs = ifreqs.astype(_np.float64)
+        if length == 1:
+            codes = (mat[:, 0] * width + mat[:, 0]).ravel()
+            total += _np.bincount(codes, weights=freqs, minlength=cells)
+            continue
+        iidx, kidx = _np.tril_indices(length)
+        codes = (mat[:, iidx] * width + mat[:, kidx]).ravel()
+        weights = _np.repeat(freqs, len(iidx))
+        total += _np.bincount(codes, weights=weights, minlength=cells)
+    return total.reshape(width, width)
+
+
 class FlatPLT:
     """Read-only columnar view of a PLT's rank-path index.
 
-    Instances are immutable after construction.  The columns are either
-    ``array.array`` objects (built in-process by :meth:`from_plt`) or
-    ``memoryview`` casts over a shared-memory buffer (:meth:`attach` and
-    the twin a :class:`SharedFlatPLT` owner exposes) — both support the
-    same indexing/slicing/``tobytes`` surface the kernels use.
+    Instances are immutable after construction, apart from the
+    ``pair_support`` column :meth:`pair_support_matrix` fills on first
+    use.  The columns are either ``array.array`` objects (built
+    in-process by :meth:`from_plt`) or ``memoryview`` casts over a
+    shared-memory buffer (:meth:`attach` and the twin a
+    :class:`SharedFlatPLT` owner exposes) — both support the same
+    indexing/slicing/``tobytes`` surface the kernels use.
     """
 
     __slots__ = (
@@ -136,24 +166,26 @@ class FlatPLT:
     # -- construction -------------------------------------------------------
     @classmethod
     def from_plt(cls, plt: PLT) -> "FlatPLT":
-        """Lower a PLT's interned rank-path index into columns (one pass)."""
+        """Lower a PLT's interned rank-path index into columns (one pass).
+
+        Every column is filled bucket-at-a-time from C-level iterators —
+        :func:`~repro.core.conditional.mine_conditional` pays this lowering
+        on each call.
+        """
         ranks = array("I")
-        path_offsets = array("Q", (0,))
+        lengths: list[int] = []
         freqs = array("Q")
         bucket_keys = array("I")
         bucket_offsets = array("Q", (0,))
-        n_paths = 0
         for key, bucket in plt.iter_rank_path_buckets():
             bucket_keys.append(key)
-            for path, freq in bucket.items():
-                ranks.extend(path)
-                path_offsets.append(len(ranks))
-                freqs.append(freq)
-            n_paths += len(bucket)
-            bucket_offsets.append(n_paths)
+            ranks.extend(chain.from_iterable(bucket))
+            lengths.extend(map(len, bucket))
+            freqs.extend(bucket.values())
+            bucket_offsets.append(len(freqs))
         return cls(
             ranks,
-            path_offsets,
+            array("Q", accumulate(lengths, initial=0)),
             freqs,
             bucket_keys,
             bucket_offsets,
@@ -192,9 +224,7 @@ class FlatPLT:
 
     # -- vectorized views ---------------------------------------------------
     def as_numpy(self):
-        """Zero-copy NumPy views over the columns, or ``None`` without NumPy."""
-        if _np is None:
-            return None
+        """Zero-copy NumPy views over the columns (cached)."""
         views = self._np_views
         if views is None:
             views = {
@@ -207,25 +237,16 @@ class FlatPLT:
     def rank_supports(self) -> list[int]:
         """Exact support of every rank, indexed by rank (index 0 unused).
 
-        Vectorized over the frequency column when NumPy is present: each
-        path's frequency is repeated across its cells and bincounted by
-        rank id — one fused pass, no Python-level loop over paths.
+        Each path's frequency is repeated across its cells and bincounted
+        by rank id — one fused pass, no Python-level loop over paths.
         """
         views = self.as_numpy()
         width = self.max_rank + 1
-        if views is not None:
-            offsets = views["path_offsets"].astype(_np.int64)
-            reps = _np.diff(offsets)
-            weights = _np.repeat(views["freqs"].astype(_np.float64), reps)
-            sup = _np.bincount(views["ranks"], weights=weights, minlength=width)
-            return [int(s) for s in sup]
-        sup = [0] * width
-        ranks, off, freqs = self.ranks, self.path_offsets, self.freqs
-        for p in range(len(freqs)):
-            f = freqs[p]
-            for c in range(off[p], off[p + 1]):
-                sup[ranks[c]] += f
-        return sup
+        offsets = views["path_offsets"].astype(_np.int64)
+        reps = _np.diff(offsets)
+        weights = _np.repeat(views["freqs"].astype(_np.float64), reps)
+        sup = _np.bincount(views["ranks"], weights=weights, minlength=width)
+        return [int(s) for s in sup]
 
     def rank_costs(self) -> list[int]:
         """Per-rank work proxy for range planning, indexed by rank.
@@ -237,94 +258,63 @@ class FlatPLT:
         """
         views = self.as_numpy()
         width = self.max_rank + 1
-        if views is not None:
-            offsets = views["path_offsets"].astype(_np.int64)
-            reps = _np.diff(offsets)
-            pos = _np.arange(len(views["ranks"]), dtype=_np.int64)
-            pos = pos - _np.repeat(offsets[:-1], reps)
-            cost = _np.bincount(
-                views["ranks"], weights=pos.astype(_np.float64), minlength=width
-            )
-            return [int(c) for c in cost]
-        cost = [0] * width
-        ranks, off = self.ranks, self.path_offsets
-        for p in range(self.n_paths):
-            base = off[p]
-            for c in range(base, off[p + 1]):
-                cost[ranks[c]] += c - base
-        return cost
+        offsets = views["path_offsets"].astype(_np.int64)
+        reps = _np.diff(offsets)
+        pos = _np.arange(len(views["ranks"]), dtype=_np.int64)
+        pos = pos - _np.repeat(offsets[:-1], reps)
+        cost = _np.bincount(
+            views["ranks"], weights=pos.astype(_np.float64), minlength=width
+        )
+        return [int(c) for c in cost]
 
     def paths_by_length(self):
         """Stored paths grouped by length as ``{length: (mat, ifreqs)}``.
 
         ``mat`` is an int64 ``(n, length)`` matrix of rank paths and
         ``ifreqs`` the matching int64 frequency column — exactly the input
-        shape of the vectorised conditional top level.  Returns ``None``
-        without NumPy (callers fall back to the sweep formulation).
+        shape of the vectorised conditional top level.
         """
-        views = self.as_numpy()
-        if views is None:
-            return None
         if self.n_paths == 0:
             return {}
+        views = self.as_numpy()
         offsets = views["path_offsets"].astype(_np.int64)
         lengths = _np.diff(offsets)
         starts = offsets[:-1]
-        ranks64 = views["ranks"].astype(_np.int64)
+        ranks = views["ranks"]
         ifreqs = views["freqs"].astype(_np.int64)
         out = {}
-        for length in _np.unique(lengths):
-            size = int(length)
-            rows = _np.nonzero(lengths == length)[0]
+        # bincount, not unique: np.unique's first call imports numpy.ma
+        for size in _np.flatnonzero(_np.bincount(lengths)).tolist():
+            rows = _np.nonzero(lengths == size)[0]
             idx = starts[rows][:, None] + _np.arange(size, dtype=_np.int64)
-            out[size] = (ranks64[idx], ifreqs[rows])
+            # widen per group: copying the whole column to int64 up front
+            # measurably raised the peak RSS of every conditional mine
+            out[size] = (ranks[idx].astype(_np.int64), ifreqs[rows])
         return out
 
-    def compute_pair_support(self, max_cells: int | None = None) -> bool:
-        """Precompute the dense pairwise co-occurrence matrix in-place.
-
-        The conditional top level needs ``support({j, k})`` for every rank
-        pair; computing it is the one per-worker cost a range restriction
-        cannot shrink (counts are global).  Calling this *before*
-        :meth:`to_shared_memory` stores the matrix as a sixth column, so
-        every attaching worker reads it off the segment instead of
-        re-running the bincount over all stored paths.
-
-        No-op (returns False) without NumPy, on an empty index, or when
-        the dense matrix would exceed ``max_cells`` (default: the
-        conditional kernel's own dense-matrix cap — ranges that large
-        take the sweep fallback, which never consults the matrix).
-        """
-        if _np is None or self.pair_support is not None or self.n_paths == 0:
-            return self.pair_support is not None
-        if max_cells is None:
-            from repro.core.conditional import _PAIR_MATRIX_MAX_CELLS
-
-            max_cells = _PAIR_MATRIX_MAX_CELLS
-        width = self.max_rank + 1
-        if width * width > max_cells:
-            return False
-        from repro.core.conditional import _pair_support_matrix
-
-        self.pair_support = _pair_support_matrix(
-            self.paths_by_length(), width
-        ).ravel()
-        return True
-
     def pair_support_matrix(self):
-        """The precomputed ``(width, width)`` pair matrix, or ``None``.
+        """The dense ``(width, width)`` pair matrix, or ``None`` above the cap.
 
-        The underlying buffer view is cached alongside :meth:`as_numpy`'s
-        so that :meth:`detach`/``close`` can drop every buffer export.
+        ``matrix[j, k]`` for ``j >= k`` is the exact support of ``{k, j}``
+        (and of ``{j}`` on the diagonal).  Computed on first use and kept
+        as the ``pair_support`` column, so a later :meth:`to_shared_memory`
+        ships it and attaching workers read it off the segment instead of
+        re-running the bincount over all stored paths.  The buffer view is
+        cached alongside :meth:`as_numpy`'s so that :meth:`detach`/``close``
+        can drop every buffer export.
         """
-        if _np is None or self.pair_support is None:
-            return None
+        width = self.max_rank + 1
+        if self.pair_support is None:
+            if width * width > _PAIR_MATRIX_MAX_CELLS:
+                return None
+            self.pair_support = _pair_support_matrix(
+                self.paths_by_length(), width
+            ).ravel()
         views = self.as_numpy()
         flatview = views.get("pair_support")
         if flatview is None:
             flatview = _np.frombuffer(self.pair_support, dtype=_np.float64)
             views["pair_support"] = flatview
-        width = self.max_rank + 1
         return flatview.reshape(width, width)
 
     # -- shared memory ------------------------------------------------------

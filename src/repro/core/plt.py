@@ -232,21 +232,6 @@ class PLT:
         """
         return {s: dict(bucket) for s, bucket in self._sum_index.items()}
 
-    def rank_path_index(self) -> dict[int, dict[RankPath, int]]:
-        """Rank-path form of :meth:`sum_index` — the mining hot-path view.
-
-        Maps ``max rank -> {rank path -> frequency}`` where each rank path
-        is the cumulative-sum tuple of a stored vector (Lemma 4.1.1),
-        computed once at construction.  The conditional miner works on this
-        representation because the quantities Algorithm 3 recomputes per
-        vector in delta form are all O(1) here: bucket key = ``path[-1]``,
-        prefix's bucket key = ``path[-2]``, and local projection is a plain
-        membership filter.
-
-        Returns a fresh, deep-copied mapping (the miner consumes it).
-        """
-        return {s: dict(bucket) for s, bucket in self._rank_paths.items()}
-
     def iter_vectors(self) -> Iterator[tuple[PositionVector, int]]:
         """All (vector, frequency) pairs, longest partitions first."""
         for length in sorted(self._partitions, reverse=True):
@@ -265,10 +250,11 @@ class PLT:
     def iter_rank_path_buckets(self) -> Iterator[tuple[int, dict[RankPath, int]]]:
         """``(max rank, bucket)`` pairs in *descending* key order.
 
-        Zero-copy view over the interned rank-path index — the columnar
-        lowering (:class:`repro.core.flat.FlatPLT`) walks it without paying
-        the deep copy :meth:`rank_path_index` makes for the consuming
-        miners.  Callers must not mutate the yielded buckets.
+        Zero-copy view over the interned rank-path index: each rank path
+        is the cumulative-sum tuple of a stored vector (Lemma 4.1.1),
+        computed once at construction.  The columnar lowering
+        (:class:`repro.core.flat.FlatPLT`) walks it to build the conditional
+        miner's input.  Callers must not mutate the yielded buckets.
         """
         for key in sorted(self._rank_paths, reverse=True):
             yield key, self._rank_paths[key]

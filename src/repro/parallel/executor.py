@@ -47,7 +47,7 @@ import time
 import warnings
 from collections.abc import Callable, Sequence
 
-from repro.core.conditional import mine_conditional_block
+from repro.core.conditional import _check_args, mine_conditional_block
 from repro.core.plt import PLT
 from repro.core.position import PositionVector
 from repro.core.topdown import DEFAULT_WORK_LIMIT, estimate_topdown_work
@@ -391,6 +391,9 @@ def mine_parallel(
     """
     if min_support is None:
         min_support = plt.min_support
+    # reject before any pool starts: a worker-side rejection would be
+    # retried and degraded like a crash instead of surfacing as itself
+    _check_args(min_support, max_len)
     if n_workers is None:
         n_workers = default_workers()
     _check_transport(transport)

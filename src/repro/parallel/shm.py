@@ -280,7 +280,7 @@ def mine_parallel_shm(
         return []
     # one driver-side bincount pass; every range worker reads the matrix
     # off the segment instead of recomputing it over all stored paths
-    flat.compute_pair_support()
+    flat.pair_support_matrix()
     if governor is not None:
         governor.start()
         governor.check_now()

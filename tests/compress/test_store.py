@@ -60,7 +60,9 @@ class TestRoundtrip:
         assert sorted(restored.iter_rank_paths()) == sorted(
             paper_plt.iter_rank_paths()
         )
-        assert restored.rank_path_index() == paper_plt.rank_path_index()
+        assert dict(restored.iter_rank_path_buckets()) == dict(
+            paper_plt.iter_rank_path_buckets()
+        )
 
     @pytest.mark.parametrize("seed", range(3))
     def test_rank_path_cache_preserved_random(self, tmp_path, seed):

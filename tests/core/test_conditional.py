@@ -2,16 +2,29 @@
 
 import pytest
 
+import repro.core.flat as flat_mod
 from repro.core.conditional import (
     build_conditional_buckets,
     conditional_database,
     mine_conditional,
+    mine_conditional_flat_range,
     rank_supports_of_vectors,
 )
+from repro.core.flat import FlatPLT
 from repro.core.plt import PLT
 from repro.core.position import encode
 from repro.errors import InvalidSupportError
 from tests.conftest import random_database
+
+
+def _mine_rank_range(plt, lo, hi, min_support=2):
+    """Itemsets whose maximal rank lies in ``[lo, hi)``, off fresh columns."""
+    pairs = []
+    mine_conditional_flat_range(
+        FlatPLT.from_plt(plt), lo, hi, min_support,
+        lambda itemset, support: pairs.append((itemset, support)),
+    )
+    return pairs
 
 
 class TestRankSupports:
@@ -92,6 +105,11 @@ class TestMineConditional:
             mine_conditional(paper_plt, 0)
         with pytest.raises(InvalidSupportError):
             mine_conditional(paper_plt, 2, max_len=0)
+        flat = FlatPLT.from_plt(paper_plt)
+        with pytest.raises(InvalidSupportError):
+            mine_conditional_flat_range(flat, 1, 5, 0, lambda *_: None)
+        with pytest.raises(InvalidSupportError):
+            mine_conditional_flat_range(flat, 1, 5, 2, lambda *_: None, max_len=0)
 
     def test_max_len(self, paper_plt):
         pairs = mine_conditional(paper_plt, 2, max_len=2)
@@ -104,16 +122,24 @@ class TestMineConditional:
         keys = [r for r, _ in pairs]
         assert len(keys) == len(set(keys))
 
-    def test_rank_restriction_partitions_output(self, paper_plt):
+    def test_rank_restriction_partitions_output(self, paper_plt, monkeypatch):
         all_pairs = sorted(mine_conditional(paper_plt, 2))
-        by_parts = []
-        for rank in (4, 3, 2, 1):
-            by_parts.extend(mine_conditional(paper_plt, 2, ranks=[rank]))
-        assert sorted(by_parts) == all_pairs
+        # both top-level branches: the dense pair matrix, then the fused
+        # engine with the matrix cap forced to zero
+        for cap in (None, 0):
+            if cap is not None:
+                monkeypatch.setattr(flat_mod, "_PAIR_MATRIX_MAX_CELLS", cap)
+            by_parts = []
+            for rank in (4, 3, 2, 1):
+                by_parts.extend(_mine_rank_range(paper_plt, rank, rank + 1))
+            assert sorted(by_parts) == all_pairs
 
-    def test_rank_restriction_selects_by_max_item(self, paper_plt):
-        pairs = mine_conditional(paper_plt, 2, ranks=[3])
-        assert all(max(r) == 3 for r, _ in pairs)
+    def test_rank_restriction_selects_by_max_item(self, paper_plt, monkeypatch):
+        for cap in (None, 0):
+            if cap is not None:
+                monkeypatch.setattr(flat_mod, "_PAIR_MATRIX_MAX_CELLS", cap)
+            pairs = _mine_rank_range(paper_plt, 3, 4)
+            assert pairs and all(max(r) == 3 for r, _ in pairs)
 
     def test_long_single_path_with_max_len(self):
         # a 60-item transaction: recursion depth equals max_len, and the

@@ -16,11 +16,15 @@ frequent in every transaction (the full powerset).
 
 import pytest
 
+import repro.core.flat as flat_mod
 from repro.baselines.fpgrowth import mine_fpgrowth
 from repro.core.conditional import mine_conditional
+from repro.core.flat import FlatPLT
 from repro.core.plt import PLT
 from repro.core.topdown import mine_topdown
+from repro.errors import MiningInterrupted
 from repro.perf.legacy import mine_conditional_reference, mine_topdown_reference
+from repro.robustness.governor import MiningBudget, ResourceGovernor
 from tests.conftest import random_database
 
 
@@ -41,6 +45,43 @@ def test_conditional_topdown_fpgrowth_agree(seed):
     assert sorted(cond) == sorted(top)
 
     assert _as_item_dict(plt, cond) == mine_fpgrowth(db, min_support)
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("max_len", [None, 1, 2, 3])
+def test_wide_fallback_matches_matrix_and_fpgrowth(seed, max_len, monkeypatch):
+    # the fused-engine top level, which rank spaces above the dense
+    # pair-matrix cap take, forced here by a zero cap
+    db = random_database(seed + 7400, max_items=12, max_transactions=60)
+    min_support = (seed % 4) + 1
+    plt = PLT.from_transactions(db, min_support)
+    matrix = mine_conditional(plt, min_support, max_len=max_len)
+    monkeypatch.setattr(flat_mod, "_PAIR_MATRIX_MAX_CELLS", 0)
+    assert FlatPLT.from_plt(plt).pair_support_matrix() is None
+    wide = mine_conditional(plt, min_support, max_len=max_len)
+    assert sorted(wide) == sorted(matrix)
+    assert _as_item_dict(plt, wide) == mine_fpgrowth(db, min_support, max_len=max_len)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_wide_fallback_governor_partial_is_exact(seed, monkeypatch):
+    monkeypatch.setattr(flat_mod, "_PAIR_MATRIX_MAX_CELLS", 0)
+    db = random_database(
+        seed + 7500, max_items=12, max_transactions=60, min_transactions=10
+    )
+    plt = PLT.from_transactions(db, 1)
+    full = dict(mine_conditional(plt, 1))
+    governor = ResourceGovernor(MiningBudget(max_itemsets=len(full) // 2))
+    with pytest.raises(MiningInterrupted) as info:
+        mine_conditional(plt, 1, governor=governor)
+    exc = info.value
+    marker = exc.progress.get("complete_from_rank")
+    assert marker is not None
+    mined = dict(exc.partial)
+    assert mined and all(full[r] == s for r, s in mined.items())
+    for ranks, support in full.items():
+        if max(ranks) >= marker:
+            assert mined.get(ranks) == support
 
 
 @pytest.mark.parametrize("seed", range(20))

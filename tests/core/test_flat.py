@@ -60,7 +60,7 @@ class TestLowering:
         flat = FlatPLT.from_plt(PLT.from_transactions([], 1))
         assert flat.n_paths == 0 and flat.n_cells == 0 and flat.n_buckets == 0
         assert flat.rank_supports() == [0] * (flat.max_rank + 1)
-        assert flat.paths_by_length() in (None, {})
+        assert flat.paths_by_length() == {}
 
     def test_packed_path_is_engine_encoding(self):
         from array import array
@@ -72,24 +72,21 @@ class TestLowering:
             assert flat.packed_path(p) == array("I", flat.path(p)).tobytes()
 
 
-class TestNoNumpyFallback:
+class TestColumnPasses:
     @pytest.mark.parametrize("seed", range(3))
-    def test_scalar_paths_match_vectorized(self, seed, monkeypatch):
+    def test_match_plt_and_loop_oracles(self, seed):
         db = random_database(seed + 920, max_items=10, max_transactions=50)
         plt = PLT.from_transactions(db, 2)
-        vec = FlatPLT.from_plt(plt)
-        supports = vec.rank_supports()
-        costs = vec.rank_costs()
-        import repro.core.flat as flat_mod
-
-        monkeypatch.setattr(flat_mod, "_np", None)
-        scalar = FlatPLT.from_plt(plt)
-        assert scalar.rank_supports() == supports
-        assert scalar.rank_costs() == costs
-        assert scalar.as_numpy() is None
-        assert scalar.paths_by_length() is None
-        assert scalar.pair_support_matrix() is None
-        assert scalar.compute_pair_support() is False
+        flat = FlatPLT.from_plt(plt)
+        assert flat.rank_supports() == [0] + [
+            plt.rank_support(r) for r in range(1, flat.max_rank + 1)
+        ]
+        # oracle: total within-path position of every cell holding a rank
+        costs = [0] * (flat.max_rank + 1)
+        for path, _freq in plt.iter_rank_paths():
+            for pos, rank in enumerate(path):
+                costs[rank] += pos
+        assert flat.rank_costs() == costs
 
 
 class TestSharedMemory:
@@ -118,10 +115,9 @@ class TestSharedMemory:
         db = random_database(931, max_items=10, max_transactions=50)
         plt = PLT.from_transactions(db, 2)
         flat = FlatPLT.from_plt(plt)
-        assert flat.pair_support_matrix() is None
-        assert flat.compute_pair_support() is True
-        mat = flat.pair_support_matrix()
-        assert mat is not None
+        assert flat.pair_support is None
+        mat = flat.pair_support_matrix()  # computed and cached on first use
+        assert mat is not None and flat.pair_support is not None
         # diagonal == rank supports (pair_support[j, j] = support({j}))
         sup = flat.rank_supports()
         assert [int(v) for v in mat.diagonal()] == sup
@@ -137,10 +133,13 @@ class TestSharedMemory:
             shared.close()
             shared.unlink()
 
-    def test_pair_support_respects_cell_cap(self):
+    def test_pair_support_respects_cell_cap(self, monkeypatch):
+        import repro.core.flat as flat_mod
+
+        monkeypatch.setattr(flat_mod, "_PAIR_MATRIX_MAX_CELLS", 1)
         db = random_database(932, max_items=10, max_transactions=40)
         flat = FlatPLT.from_plt(PLT.from_transactions(db, 2))
-        assert flat.compute_pair_support(max_cells=1) is False
+        assert flat.pair_support_matrix() is None
         assert flat.pair_support is None
 
     def test_empty_plt_shares(self):

@@ -40,6 +40,11 @@ class TestFacade:
         with pytest.raises(InvalidSupportError):
             mine_frequent_itemsets(DB, "2")
 
+    @pytest.mark.parametrize("method", ["plt", "plt-parallel"])
+    def test_invalid_max_len(self, method):
+        with pytest.raises(InvalidSupportError, match="max_len"):
+            mine_frequent_itemsets(DB, 2, method=method, max_len=0)
+
     def test_accepts_transaction_database(self):
         db = TransactionDatabase(DB)
         assert mine_frequent_itemsets(db, 2) == mine_frequent_itemsets(DB, 2)

@@ -2,6 +2,7 @@
 
 import os
 import time
+import warnings
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.core.plt import PLT
 from repro.core.topdown import topdown_subset_frequencies
 from repro.errors import (
     DegradedExecutionWarning,
+    InvalidSupportError,
     ParallelExecutionError,
     TopDownExplosionError,
 )
@@ -101,6 +103,25 @@ class TestMineParallel:
         a = mine_frequent_itemsets(paper_db, 2, method="plt-parallel", n_workers=2)
         b = mine_frequent_itemsets(paper_db, 2, method="plt")
         assert a == b
+
+    @pytest.mark.parametrize("transport", ["pickle", "shm"])
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_invalid_arguments_rejected_at_the_driver(
+        self, paper_plt, transport, n_workers
+    ):
+        # a worker-side rejection would surface as retries, a degraded-
+        # execution warning and a ParallelExecutionError instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegradedExecutionWarning)
+            with pytest.raises(InvalidSupportError, match="min_support"):
+                mine_parallel(
+                    paper_plt, 0, n_workers=n_workers, transport=transport
+                )
+            with pytest.raises(InvalidSupportError, match="max_len"):
+                mine_parallel(
+                    paper_plt, 2, n_workers=n_workers, transport=transport,
+                    max_len=0,
+                )
 
 
 class TestTopdownParallel:

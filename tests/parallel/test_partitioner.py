@@ -86,7 +86,7 @@ class TestConditionalTasks:
     @pytest.mark.parametrize("seed", range(5))
     def test_tasks_reconstruct_full_mining(self, seed):
         """Mining each task independently reproduces the serial result."""
-        from repro.core.conditional import _mine, build_conditional_buckets
+        from repro.core.conditional import mine_conditional_block
 
         db = random_database(seed + 600, max_items=9, max_transactions=35)
         plt = PLT.from_transactions(db, 2)
@@ -94,15 +94,12 @@ class TestConditionalTasks:
         collected = []
         for task in conditional_tasks(plt, 2):
             collected.append(((task.rank,), task.support))
-            buckets = build_conditional_buckets(task.prefixes, 2)
-            if buckets:
-                _mine(
-                    buckets,
-                    (task.rank,),
-                    2,
-                    lambda s, sup: collected.append((tuple(sorted(s)), sup)),
-                    None,
-                )
+            mine_conditional_block(
+                task.prefixes,
+                task.rank,
+                2,
+                lambda s, sup: collected.append((tuple(sorted(s)), sup)),
+            )
         assert sorted(collected) == serial
 
 

@@ -63,10 +63,10 @@ class TestDifferential:
     @pytest.mark.parametrize("seed", [3, 9])
     def test_sweep_fallback_range_miner(self, seed, monkeypatch):
         # force the range workers off the dense-matrix path so the
-        # bucket-sweep formulation of range mining is exercised end to end
-        import repro.core.conditional as cond
+        # fused-engine formulation of range mining is exercised end to end
+        import repro.core.flat as flat_mod
 
-        monkeypatch.setattr(cond, "_PAIR_MATRIX_MAX_CELLS", 0)
+        monkeypatch.setattr(flat_mod, "_PAIR_MATRIX_MAX_CELLS", 0)
         db = random_database(seed + 1200, max_items=10, max_transactions=50)
         plt = PLT.from_transactions(db, 2)
         serial = sorted(mine_conditional(plt, 2))
