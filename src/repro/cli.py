@@ -965,7 +965,7 @@ def _cmd_serve(args) -> int:
         )
         ready = (
             f"READY host={{host}} port={{port}} "
-            f"items={len(index.rank_table)} paths={index.postings.n_paths()} "
+            f"items={len(index.rank_table)} paths={index.postings.n_paths} "
             f"min_support={index.min_support} n_transactions={index.n_transactions}"
         )
 

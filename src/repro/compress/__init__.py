@@ -1,11 +1,12 @@
 """Compression and indexing of PLT structures (paper §1/§6 claims)."""
 
-from repro.compress.index import LengthIndex, SumIndex
+from repro.compress.index import LengthIndex
 from repro.compress.plt_codec import (
     decode_label,
     deserialize_plt,
     encode_label,
     encoded_size_report,
+    serialize_flat,
     serialize_plt,
 )
 from repro.compress.store import PLTStore
@@ -19,9 +20,9 @@ from repro.compress.varint import (
 
 __all__ = [
     "LengthIndex",
-    "SumIndex",
     "PLTStore",
     "serialize_plt",
+    "serialize_flat",
     "deserialize_plt",
     "encoded_size_report",
     "encode_label",

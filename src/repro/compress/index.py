@@ -1,186 +1,27 @@
-"""Disk-shaped indexes over serialized PLT partitions.
+"""Disk-shaped partition directory over a serialized PLT.
 
 The paper argues (Sections 1, 6) that because the PLT "regulates" the data
 into fixed-shape, sorted vector partitions, standard indexing applies.
-This module demonstrates both index kinds the mining algorithms need:
+:class:`LengthIndex` maps vector length -> byte span inside a serialized
+blob, so the top-down miner can read partitions longest-first without
+parsing the whole stream.
 
-* :class:`LengthIndex` — partition directory: vector length -> byte span
-  inside a serialized blob, so the top-down miner can read partitions
-  longest-first without parsing the whole stream.
-* :class:`SumIndex` — ``sum -> [vector ids]``: the conditional miner's
-  entry point (an item's conditional database is one bucket lookup).
-
-Both are built once over an in-memory PLT and answer queries without
-touching the original transactions, matching the paper's
-"self-contained structure" claim.
+The conditional miner's index kind lives on the columns instead: the sum
+index is :class:`~repro.core.flat.FlatPLT`'s ``bucket_keys`` /
+``bucket_offsets`` (an item's conditional database is one bucket), and the
+serving tier's rank -> path postings are
+:meth:`~repro.core.flat.FlatPLT.postings`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 from repro.core.plt import PLT
-from repro.core.position import PositionVector, RankPath, decode, vector_sum
+from repro.core.position import PositionVector
 from repro.errors import ReproError
 
-__all__ = ["SumIndex", "LengthIndex", "ItemIndex"]
-
-
-class SumIndex:
-    """Immutable ``sum -> sorted vectors`` index with support aggregates.
-
-    ``bucket(s)`` answers "every stored transaction whose maximal item has
-    rank ``s``" — the conditional-database lookup of Algorithm 3 — and
-    ``support(s)`` its total frequency (the support the top of Algorithm 3
-    computes) in O(1) after construction.
-    """
-
-    __slots__ = ("_buckets", "_supports")
-
-    def __init__(self, plt: PLT):
-        buckets: dict[int, list[tuple[PositionVector, int]]] = {}
-        supports: dict[int, int] = {}
-        for vec, freq in plt.iter_vectors():
-            s = vector_sum(vec)
-            buckets.setdefault(s, []).append((vec, freq))
-            supports[s] = supports.get(s, 0) + freq
-        for s in buckets:
-            buckets[s].sort()
-        self._buckets = buckets
-        self._supports = supports
-
-    def sums(self) -> list[int]:
-        """All sums present, descending (the mining order)."""
-        return sorted(self._buckets, reverse=True)
-
-    def bucket(self, s: int) -> list[tuple[PositionVector, int]]:
-        return list(self._buckets.get(s, ()))
-
-    def support(self, s: int) -> int:
-        """Total frequency of vectors ending at rank ``s``.
-
-        Note: this is the support of item ``s`` *as a maximal item*; the
-        full support additionally counts vectors passing through ``s``
-        (what Algorithm 3's migration accumulates).
-        """
-        return self._supports.get(s, 0)
-
-    def __contains__(self, s: int) -> bool:
-        return s in self._buckets
-
-    def __len__(self) -> int:
-        return len(self._buckets)
-
-
-class ItemIndex:
-    """Inverted occurrence index: ``rank -> ids of stored vectors containing it``.
-
-    The serving daemon's point-query workhorse.  Built once over the
-    stored rank paths (from a live :class:`~repro.core.plt.PLT` or
-    streamed off a :meth:`~repro.compress.store.PLTStore.iter_rank_paths`),
-    it answers two queries without touching the original transactions:
-
-    * :meth:`support` — exact support of an arbitrary itemset, by scanning
-      only the postings of the itemset's *rarest* rank (each stored path
-      is a whole aggregated transaction, so containment of every query
-      rank decides membership);
-    * :meth:`paths_containing` — the stored paths through a rank, i.e.
-      the raw material of the rank's conditional database.
-
-    Paths are kept as sorted tuples; per-path membership tests are C-speed
-    tuple containment.
-    """
-
-    __slots__ = ("_paths", "_freqs", "_postings", "_supports")
-
-    def __init__(self, paths_with_freqs: Iterator[tuple[RankPath, int]] | Iterable):
-        paths: list[RankPath] = []
-        freqs: list[int] = []
-        postings: dict[int, list[int]] = {}
-        supports: dict[int, int] = {}
-        for i, (path, freq) in enumerate(paths_with_freqs):
-            paths.append(path)
-            freqs.append(freq)
-            for r in path:
-                bucket = postings.get(r)
-                if bucket is None:
-                    postings[r] = [i]
-                else:
-                    bucket.append(i)
-                supports[r] = supports.get(r, 0) + freq
-        self._paths = paths
-        self._freqs = freqs
-        self._postings = postings
-        self._supports = supports
-
-    @classmethod
-    def from_plt(cls, plt: PLT) -> "ItemIndex":
-        return cls(plt.iter_rank_paths())
-
-    def ranks(self) -> list[int]:
-        """All ranks with at least one occurrence, ascending."""
-        return sorted(self._postings)
-
-    def rank_support(self, rank: int) -> int:
-        """Exact support of a single rank (0 if absent)."""
-        return self._supports.get(rank, 0)
-
-    def n_paths(self) -> int:
-        return len(self._paths)
-
-    def support(self, ranks, *, governor=None) -> int:
-        """Exact support of the itemset with the given ranks.
-
-        Scans the postings list of the least-frequent query rank and
-        checks the remaining ranks by tuple containment; with a
-        ``governor`` the scan is charged one amortized work unit per
-        posting so a per-query deadline bounds even adversarially hot
-        items.
-        """
-        ranks = tuple(ranks)
-        if not ranks:
-            return sum(self._freqs)
-        postings = self._postings
-        try:
-            rarest = min(ranks, key=lambda r: len(postings[r]))
-        except KeyError:
-            return 0  # a rank with no occurrences kills the intersection
-        rest = [r for r in ranks if r != rarest]
-        paths, freqs = self._paths, self._freqs
-        total = 0
-        for i in postings[rarest]:
-            if governor is not None:
-                governor.tick()
-            path = paths[i]
-            for r in rest:
-                if r not in path:
-                    break
-            else:
-                total += freqs[i]
-        return total
-
-    def paths_containing(self, rank: int) -> Iterator[tuple[RankPath, int]]:
-        """``(path, frequency)`` for every stored path through ``rank``."""
-        paths, freqs = self._paths, self._freqs
-        for i in self._postings.get(rank, ()):
-            yield paths[i], freqs[i]
-
-    def paths(self) -> Iterator[tuple[RankPath, int]]:
-        """Every stored ``(path, frequency)`` pair, in insertion order.
-
-        The index keeps the full path table anyway (postings refer into
-        it), so it can hand the structure back out — the serving engine
-        uses this to rebuild a whole PLT lazily when a rules query needs a
-        full mine.
-        """
-        yield from zip(self._paths, self._freqs)
-
-    def __len__(self) -> int:
-        return len(self._postings)
-
-    def __contains__(self, rank: int) -> bool:
-        return rank in self._postings
+__all__ = ["LengthIndex"]
 
 
 class LengthIndex:

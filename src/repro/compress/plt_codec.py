@@ -29,16 +29,20 @@ from __future__ import annotations
 
 import gzip as _gzip
 
+import numpy as _np
+
 from repro.compress.varint import (
     decode_uvarint,
     encode_uvarint,
 )
+from repro.core.flat import FlatPLT
 from repro.core.plt import PLT
 from repro.core.rank import RankTable
 from repro.errors import CodecError, InvalidVectorError
 
 __all__ = [
     "serialize_plt",
+    "serialize_flat",
     "deserialize_plt",
     "encoded_size_report",
     "encode_label",
@@ -92,28 +96,40 @@ decode_label = _decode_label
 
 def serialize_plt(plt: PLT, *, gzip: bool = False) -> bytes:
     """Encode a PLT to bytes; ``gzip=True`` adds a DEFLATE pass."""
+    return serialize_flat(FlatPLT.from_plt(plt), plt.rank_table, gzip=gzip)
+
+
+def serialize_flat(flat: FlatPLT, rank_table: RankTable, *, gzip: bool = False) -> bytes:
+    """Encode a PLT's columns plus its rank table; the one PLT1 encoder.
+
+    Paths are grouped by length, turned back into position vectors (the
+    deltas of Lemma 4.1.1) and sorted row-wise, so equal structures give
+    equal bytes whatever order their columns hold the paths in.
+    """
     payload = bytearray()
-    encode_uvarint(plt.min_support, payload)
-    encode_uvarint(plt.n_transactions, payload)
-    items = plt.rank_table.items()
+    encode_uvarint(flat.min_support, payload)
+    encode_uvarint(flat.n_transactions, payload)
+    items = rank_table.items()
     encode_uvarint(len(items), payload)
     for item in items:
         _encode_label(item, payload)
-    partitions = plt.partitions
-    encode_uvarint(len(partitions), payload)
-    for length in sorted(partitions):
-        bucket = partitions[length]
+    groups = flat.paths_by_length()
+    encode_uvarint(len(groups), payload)
+    append = payload.append
+    for length in sorted(groups):
+        mat, ifreqs = groups[length]
+        vecs = _np.diff(mat, axis=1, prepend=0)
+        order = _np.lexsort(vecs.T[::-1])
+        vecs = vecs[order]
+        # each sorted vector's first position is a delta on the previous one's
+        vecs[1:, 0] = _np.diff(vecs[:, 0])
         encode_uvarint(length, payload)
-        encode_uvarint(len(bucket), payload)
-        prev_first = 0
-        for vec in sorted(bucket):
-            encode_uvarint(vec[0] - prev_first if vec[0] >= prev_first else 0, payload)
-            if vec[0] < prev_first:
-                raise CodecError("internal error: vectors not sorted")
-            prev_first = vec[0]
-            for p in vec[1:]:
-                encode_uvarint(p, payload)
-            encode_uvarint(bucket[vec], payload)
+        encode_uvarint(len(vecs), payload)
+        for value in _np.column_stack((vecs, ifreqs[order])).ravel().tolist():
+            if value < 0x80:
+                append(value)
+            else:
+                encode_uvarint(value, payload)
     body = bytes(payload)
     flags = 0
     if gzip:

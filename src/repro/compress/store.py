@@ -19,12 +19,14 @@ File format (little-endian varints)::
     payloads   per bucket: n_vectors x [len, positions..., freq]
 
 The directory is materialised on :meth:`open`; bucket payloads are read
-with ``seek`` on demand.
+with ``seek`` on demand — by :meth:`PLTStore.mine` and by
+:meth:`PLTStore.iter_rank_path_buckets`, which streams the buckets into
+the serving tier's columns.
 """
 
 from __future__ import annotations
 
-import io
+from itertools import accumulate
 from pathlib import Path
 
 from repro.compress.plt_codec import decode_label, encode_label
@@ -201,21 +203,21 @@ class PLTStore:
             raise CodecError(f"{self._path}: bucket {s} has trailing bytes")
         return out
 
-    def iter_rank_paths(self):
-        """Stream ``(rank path, frequency)`` pairs bucket by bucket.
+    def iter_rank_path_buckets(self):
+        """Stream ``(sum, {rank path: frequency})`` buckets, descending sum.
 
-        Each sum bucket is read from disk once, decoded, converted to
-        cumulative-sum rank paths and yielded — resident memory holds one
-        bucket at a time.  This is the serving layer's load path: a
-        :class:`~repro.serve.engine.ServingIndex` is built straight off
-        the stream without materialising the full vector table first.
-        Buckets arrive in descending sum order (the mining order).
+        Each sum bucket is read from disk once and its vectors converted
+        to cumulative-sum rank paths, so resident memory holds one bucket
+        at a time.  This is the serving layer's load path: a
+        :class:`~repro.serve.engine.ServingIndex` lowers the stream
+        straight into :meth:`~repro.core.flat.FlatPLT.from_buckets`
+        without materialising the full vector table first.
         """
-        from itertools import accumulate
-
         for s in self.sums():
-            for vec, freq in self.read_bucket(s).items():
-                yield tuple(accumulate(vec)), freq
+            yield s, {
+                tuple(accumulate(vec)): freq
+                for vec, freq in self.read_bucket(s).items()
+            }
 
     def to_plt(self) -> PLT:
         """Load the whole structure into memory (for small stores)."""

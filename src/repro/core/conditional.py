@@ -44,7 +44,7 @@ One top level
 Algorithm 3's top-level loop runs in one place,
 :func:`mine_conditional_flat_range`, over a
 :class:`~repro.core.flat.FlatPLT`'s columns: :func:`mine_conditional`
-lowers the PLT and mines the whole rank range, and the shared-memory
+mines the whole rank range (lowering a PLT first), and the shared-memory
 workers mine disjoint ranges of an attached segment.  The input size
 picks one of two branches:
 
@@ -61,7 +61,9 @@ The delta-vector kernels (:func:`rank_supports_of_vectors`,
 callers that hold position vectors — the task partitioner, the on-disk
 store, closed/top-k/constraint miners and the tests;
 :func:`mine_conditional_block` converts a delta-keyed conditional
-database to rank paths once and runs the same engine.
+database to rank paths once and runs the same engine through
+:func:`mine_conditional_paths`, which the serving tier calls directly
+with the rank-path conditional databases it reads off the columns.
 
 Anti-monotone pruning is fully exploited: a conditional structure only
 ever contains items that are frequent *together with* the current suffix.
@@ -84,6 +86,7 @@ from repro.perf.counters import COUNTERS as _COUNTERS
 __all__ = [
     "mine_conditional",
     "mine_conditional_block",
+    "mine_conditional_paths",
     "mine_conditional_flat_range",
     "conditional_database",
     "build_conditional_buckets",
@@ -259,7 +262,7 @@ def _mine_paths(
     with their exact supports and every conditional structure at every
     depth stays singleton-free.  ``row`` is ``None`` only for structures
     built with their singletons intact (the fused top level of
-    :func:`_fused_mine` and :func:`mine_conditional_block`).
+    :func:`_fused_mine` and :func:`mine_conditional_paths`).
 
     Algorithm 3's ``for j = Max down to 1`` loop, driven by an explicit
     descending *schedule* of candidate ranks rather than an integer
@@ -479,28 +482,43 @@ def mine_conditional_block(
     max_len: int | None = None,
     governor=None,
 ) -> None:
-    """Mine one top-level rank's conditional database on the path engine.
+    """Mine one top-level rank's delta-keyed conditional database.
 
-    ``prefixes`` is the delta-keyed conditional database of ``rank`` — the
-    shape the parallel partitioner bundles into tasks and the distributed
-    slice exchange ships between nodes.  Each distinct vector is converted
-    to its rank path with a single ``accumulate`` pass, the projection
-    that drops locally-infrequent ranks runs in path space, and the
-    descent uses the exact frequent-rank schedule instead of counting down
-    through every integer rank.  Itemsets reach ``emit`` already sorted
-    ascending (the engine prepends strictly smaller ranks), so callers
-    need no per-emit re-sort.
+    ``prefixes`` is the shape the parallel partitioner bundles into tasks
+    and the distributed slice exchange ships between nodes.  Each distinct
+    vector is converted to its rank path with a single ``accumulate`` pass
+    (injective on delta vectors, so plain assignment) and handed to
+    :func:`mine_conditional_paths`.
+    """
+    mine_conditional_paths(
+        {tuple(accumulate(vec)): freq for vec, freq in prefixes.items()},
+        rank, min_support, emit, max_len, governor=governor,
+    )
+
+
+def mine_conditional_paths(
+    prefixes: dict[RankPath, int],
+    rank: int,
+    min_support: int,
+    emit: Emit,
+    max_len: int | None = None,
+    governor=None,
+) -> None:
+    """Mine one rank's conditional database of rank paths on the path engine.
+
+    The projection that drops locally-infrequent ranks runs in path space,
+    and the descent uses the exact frequent-rank schedule instead of
+    counting down through every integer rank.  When every prefix rank is
+    below ``rank`` (Algorithm 3's ``CD_rank``), itemsets reach ``emit``
+    already sorted ascending — the engine prepends strictly smaller ranks
+    — so callers need no per-emit re-sort.
 
     Does *not* emit ``(rank,)`` itself — top-level supports are known to
     the caller before the conditional database exists.
     """
-    path_prefixes: dict[RankPath, int] = {}
-    for vec, freq in prefixes.items():
-        # accumulate() is injective on delta vectors: plain assignment
-        path_prefixes[tuple(accumulate(vec))] = freq
     if governor is not None:
-        governor.tick(len(path_prefixes))
-    buckets, schedule = _build_path_buckets(path_prefixes, min_support)
+        governor.tick(len(prefixes))
+    buckets, schedule = _build_path_buckets(prefixes, min_support)
     if buckets:
         _mine_paths(
             buckets, schedule, (rank,), min_support, emit, max_len,
@@ -723,7 +741,7 @@ def mine_conditional_flat_range(
 
 
 def mine_conditional(
-    plt: PLT,
+    plt: PLT | FlatPLT,
     min_support: int | None = None,
     *,
     max_len: int | None = None,
@@ -731,13 +749,14 @@ def mine_conditional(
 ) -> list[tuple[tuple[int, ...], int]]:
     """Mine all frequent itemsets from a PLT (Algorithm 3).
 
-    Lowers the PLT with :meth:`FlatPLT.from_plt` and mines the whole rank
-    range through :func:`mine_conditional_flat_range`.
+    Mines the whole rank range of the columns through
+    :func:`mine_conditional_flat_range`; a :class:`PLT` is lowered with
+    :meth:`FlatPLT.from_plt` first, a :class:`FlatPLT` is read as is.
 
     Parameters
     ----------
     plt:
-        The structure built by Algorithm 1.
+        The structure built by Algorithm 1, or its columnar lowering.
     min_support:
         Absolute count; defaults to the threshold the PLT was built with.
     max_len:
@@ -773,7 +792,7 @@ def mine_conditional(
             governor.note_itemsets()
             results.append((itemset, support))
 
-    flat = FlatPLT.from_plt(plt)
+    flat = plt if isinstance(plt, FlatPLT) else FlatPLT.from_plt(plt)
     try:
         mine_conditional_flat_range(
             flat, 1, flat.max_rank + 1, min_support, emit, max_len,

@@ -1,11 +1,12 @@
-"""Columnar lowering of the PLT rank-path index — the conditional miner's input.
+"""Columnar lowering of the PLT rank-path index — the miners' and server's input.
 
 The PLT interns every stored vector's rank path (cumulative-sum tuple,
 Lemma 4.1.1) grouped into sum-index buckets.  This module lowers that
 dict-of-dicts into five contiguous typed columns.  They are the one input
 of Algorithm 3's top level
-(:func:`~repro.core.conditional.mine_conditional_flat_range`), in process
-and in worker processes alike: the whole structure can live in a single
+(:func:`~repro.core.conditional.mine_conditional_flat_range`) and the
+serving tier's whole index, in process and in worker processes alike:
+the whole structure can live in a single
 ``multiprocessing.shared_memory`` segment and be *mapped*, not copied:
 
 ====================  ====  =============  =======================================
@@ -25,6 +26,11 @@ range workers read the one globally-shared table their restriction cannot
 shrink straight off the segment.  This module owns the dense-matrix
 decision: above :data:`_PAIR_MATRIX_MAX_CELLS` there is no matrix and the
 conditional miner takes its wide fallback.
+
+The serving reads — :meth:`FlatPLT.support` and
+:meth:`FlatPLT.paths_through` — use a CSR postings column (rank -> ids of
+the paths through it, ascending), built in process by
+:meth:`FlatPLT.postings` and never placed in a segment.
 
 Columns are 8-byte aligned back to back in one buffer; the picklable
 ``meta`` dict (segment name, per-column lengths, the three scalars) is all
@@ -114,8 +120,8 @@ class FlatPLT:
     """Read-only columnar view of a PLT's rank-path index.
 
     Instances are immutable after construction, apart from the
-    ``pair_support`` column :meth:`pair_support_matrix` fills on first
-    use.  The columns are either ``array.array`` objects (built
+    ``pair_support`` column :meth:`pair_support_matrix` and the postings
+    :meth:`postings` fill on first use.  The columns are either ``array.array`` objects (built
     in-process by :meth:`from_plt`) or ``memoryview`` casts over a
     shared-memory buffer (:meth:`attach` and the twin a
     :class:`SharedFlatPLT` owner exposes) — both support the same
@@ -135,6 +141,7 @@ class FlatPLT:
         "_shm",
         "_mviews",
         "_np_views",
+        "_postings",
     )
 
     def __init__(
@@ -162,22 +169,27 @@ class FlatPLT:
         self._shm = None
         self._mviews: tuple = ()
         self._np_views = None
+        self._postings = None
 
     # -- construction -------------------------------------------------------
     @classmethod
-    def from_plt(cls, plt: PLT) -> "FlatPLT":
-        """Lower a PLT's interned rank-path index into columns (one pass).
+    def from_buckets(
+        cls, buckets, *, min_support: int, n_transactions: int
+    ) -> "FlatPLT":
+        """Lower ``(max rank, {rank path: frequency})`` buckets into columns.
 
-        Every column is filled bucket-at-a-time from C-level iterators —
-        :func:`~repro.core.conditional.mine_conditional` pays this lowering
-        on each call.
+        ``buckets`` must arrive in *descending* key order — the order of
+        :meth:`PLT.iter_rank_path_buckets` and of
+        :meth:`~repro.compress.store.PLTStore.iter_rank_path_buckets`, which
+        streams a store off disk one bucket at a time.  Every column is
+        filled bucket-at-a-time from C-level iterators.
         """
         ranks = array("I")
         lengths: list[int] = []
         freqs = array("Q")
         bucket_keys = array("I")
         bucket_offsets = array("Q", (0,))
-        for key, bucket in plt.iter_rank_path_buckets():
+        for key, bucket in buckets:
             bucket_keys.append(key)
             ranks.extend(chain.from_iterable(bucket))
             lengths.extend(map(len, bucket))
@@ -189,9 +201,18 @@ class FlatPLT:
             freqs,
             bucket_keys,
             bucket_offsets,
+            min_support=min_support,
+            n_transactions=n_transactions,
+            max_rank=bucket_keys[0] if bucket_keys else 0,
+        )
+
+    @classmethod
+    def from_plt(cls, plt: PLT) -> "FlatPLT":
+        """Lower a PLT's interned rank-path index into columns (one pass)."""
+        return cls.from_buckets(
+            plt.iter_rank_path_buckets(),
             min_support=plt.min_support,
             n_transactions=plt.n_transactions,
-            max_rank=plt.max_rank(),
         )
 
     # -- basic shape --------------------------------------------------------
@@ -266,6 +287,96 @@ class FlatPLT:
             views["ranks"], weights=pos.astype(_np.float64), minlength=width
         )
         return [int(c) for c in cost]
+
+    # -- postings (serving reads) -------------------------------------------
+    def postings(self):
+        """The CSR postings column as ``(ids, offsets, supports)`` (cached).
+
+        ``ids[offsets[r]:offsets[r + 1]]`` are the ids of the stored paths
+        through rank ``r``, ascending; ``supports[r]`` is the rank's exact
+        support.  Built on first use by one stable sort of the cells by
+        rank.  Not part of :data:`FLAT_FIELDS`: the postings never enter a
+        shared-memory segment, and a concurrent reader must build them
+        before sharing the instance across threads.
+        """
+        built = self._postings
+        if built is None:
+            views = self.as_numpy()
+            cells = views["ranks"]
+            width = self.max_rank + 1
+            path_ids = _np.repeat(
+                _np.arange(self.n_paths, dtype=_np.uint32),
+                _np.diff(views["path_offsets"].astype(_np.int64)),
+            )
+            ids = path_ids[_np.argsort(cells, kind="stable")]
+            counts = _np.bincount(cells, minlength=width)
+            offsets = [0, *accumulate(counts.tolist())]
+            built = self._postings = (ids, offsets, self.rank_supports())
+        return built
+
+    def support(self, ranks, governor=None) -> int:
+        """Exact support of the itemset with the given ranks.
+
+        One rank reads its precomputed support.  More ranks intersect the
+        sorted postings with ``searchsorted``, starting from the rarest
+        rank's list, and sum the surviving paths' frequencies; each stored
+        path is a whole aggregated transaction, so containment of every
+        query rank decides membership.  A ``governor`` is charged the
+        rarest list's length.
+        """
+        ids, offsets, supports = self.postings()
+        wanted = set(ranks)
+        if not wanted:
+            return sum(self.freqs)
+        if min(wanted) < 1 or max(wanted) >= len(supports):
+            return 0  # a rank no path holds kills the intersection
+        if len(wanted) == 1:
+            return supports[wanted.pop()]
+        lists = sorted(
+            (ids[offsets[r] : offsets[r + 1]] for r in wanted), key=len
+        )
+        hits = lists[0]
+        if governor is not None:
+            governor.tick(len(hits))
+        for other in lists[1:]:
+            if not len(hits) or not len(other):
+                return 0
+            pos = _np.searchsorted(other, hits)
+            _np.minimum(pos, len(other) - 1, out=pos)
+            hits = hits[other[pos] == hits]
+        return int(self.as_numpy()["freqs"][hits].sum())
+
+    def paths_through(self, rank: int) -> dict[RankPath, int]:
+        """The conditional database of ``rank``: ``{path minus rank: freq}``.
+
+        Every stored path through ``rank`` with the rank removed (paths
+        that held nothing else are dropped).  Removing one rank from
+        distinct paths that all contain it keeps them distinct, so the
+        result needs no re-aggregation.
+        """
+        ids, offsets, supports = self.postings()
+        if not 0 < rank < len(supports):
+            return {}
+        sel = ids[offsets[rank] : offsets[rank + 1]]
+        views = self.as_numpy()
+        off = views["path_offsets"]
+        starts = off[sel].astype(_np.int64)
+        lengths = off[sel + 1].astype(_np.int64) - starts
+        # cell index of every selected cell: a per-path base plus a running
+        # counter, so one gather reads all the paths at once
+        firsts = _np.cumsum(lengths) - lengths
+        cells = views["ranks"][
+            _np.arange(int(lengths.sum())) + _np.repeat(starts - firsts, lengths)
+        ]
+        kept = cells[cells != rank].tolist()
+        ends = _np.cumsum(lengths - 1).tolist()
+        out: dict[RankPath, int] = {}
+        lo = 0
+        for hi, freq in zip(ends, views["freqs"][sel].tolist()):
+            if hi > lo:
+                out[tuple(kept[lo:hi])] = freq
+            lo = hi
+        return out
 
     def paths_by_length(self):
         """Stored paths grouped by length as ``{length: (mat, ifreqs)}``.

@@ -14,16 +14,18 @@ Endpoints (``op`` field of the request):
     Liveness probe.
 ``frequency``
     Exact support / subset check of an arbitrary itemset, answered from
-    the :class:`~repro.compress.index.ItemIndex` postings without mining.
+    the :meth:`~repro.core.flat.FlatPLT.support` postings intersection
+    without mining.
 ``topk``
     The ``k`` most frequent itemsets *containing a given item*, mined on
     demand from the item's conditional database
-    (:func:`~repro.core.conditional.mine_conditional_block`) and memoized
+    (:meth:`~repro.core.flat.FlatPLT.paths_through` fed to
+    :func:`~repro.core.conditional.mine_conditional_paths`) and memoized
     — the daemon never materialises the full frequent set for these.
 ``rules`` / ``recommend``
-    Association rules over the full frequent set (mined lazily, cached
-    per support level) — ``recommend`` filters them against a basket and
-    applies the CBA first-match step
+    Association rules over the full frequent set (Algorithm 3 over the
+    held columns on first use, cached per support level) — ``recommend``
+    filters them against a basket and applies the CBA first-match step
     (:func:`~repro.apps.classifier.first_matching_rule`).
 ``stats``
     Counters: per-op totals, cache hits/misses/coalesced, admission
@@ -44,9 +46,8 @@ import threading
 import time
 
 from repro.apps.classifier import first_matching_rule
-from repro.compress.index import ItemIndex
-from repro.core import position
-from repro.core.conditional import mine_conditional, mine_conditional_block
+from repro.core.conditional import mine_conditional, mine_conditional_paths
+from repro.core.flat import FlatPLT
 from repro.core.plt import PLT
 from repro.core.rank import RankTable, sort_key
 from repro.data.transaction_db import resolve_min_support
@@ -72,80 +73,60 @@ __all__ = ["ServingIndex", "PatternEngine", "serialize_rule"]
 
 
 class ServingIndex:
-    """The immutable read path of the daemon: rank table + postings.
+    """The immutable read path of the daemon: rank table + PLT columns.
 
-    Holds the stored rank paths behind an
-    :class:`~repro.compress.index.ItemIndex` (point queries, conditional
-    databases) plus the header facts every answer needs (build threshold,
-    transaction count).  A full :class:`~repro.core.plt.PLT` is only
-    reconstructed lazily, the first time a rules query forces a complete
-    mine.
+    Holds one :class:`~repro.core.flat.FlatPLT` as ``postings`` — its CSR
+    postings answer point queries and conditional databases, and rules
+    queries mine its columns whole — plus the header facts every answer
+    needs (build threshold, transaction count).  Everything the engine
+    reads (postings, NumPy views, rank supports, the pair-support matrix)
+    is built here, so handler threads only ever read it.
     """
 
-    __slots__ = ("rank_table", "min_support", "n_transactions", "postings", "_plt", "_lock")
+    __slots__ = ("rank_table", "min_support", "n_transactions", "postings")
 
-    def __init__(
-        self,
-        rank_table: RankTable,
-        paths_with_freqs,
-        *,
-        min_support: int,
-        n_transactions: int,
-        plt: PLT | None = None,
-    ):
+    def __init__(self, rank_table: RankTable, flat: FlatPLT):
         self.rank_table = rank_table
-        self.min_support = int(min_support)
-        self.n_transactions = int(n_transactions)
-        self.postings = ItemIndex(paths_with_freqs)
-        self._plt = plt
-        self._lock = threading.Lock()
+        self.min_support = flat.min_support
+        self.n_transactions = flat.n_transactions
+        self.postings = flat
+        flat.postings()
+        flat.pair_support_matrix()
+
+    @classmethod
+    def from_plt(cls, plt: PLT) -> "ServingIndex":
+        """Lower a built PLT; the index keeps no reference to it.
+
+        Pass the PLT as a temporary, so that once lowered it can be freed
+        before the serving reads are built.
+        """
+        rank_table, flat = plt.rank_table, FlatPLT.from_plt(plt)
+        del plt
+        return cls(rank_table, flat)
 
     @classmethod
     def from_transactions(
         cls, transactions, min_support: float | int, *, order: str = "lexicographic"
     ) -> "ServingIndex":
-        """Algorithm 1 once, postings forever."""
-        plt = PLT.from_transactions(transactions, min_support, order=order)
-        return cls(
-            plt.rank_table,
-            plt.iter_rank_paths(),
-            min_support=plt.min_support,
-            n_transactions=plt.n_transactions,
-            plt=plt,
-        )
+        """Algorithm 1 once, columns forever."""
+        return cls.from_plt(PLT.from_transactions(transactions, min_support, order=order))
 
     @classmethod
     def from_store(cls, path) -> "ServingIndex":
         """Load a compressed :class:`~repro.compress.store.PLTStore` file.
 
-        The store is streamed bucket-by-bucket into the postings and then
+        The store is streamed bucket-by-bucket into the columns and then
         closed — the daemon holds no file handle afterwards.
         """
         from repro.compress.store import PLTStore
 
         with PLTStore(path) as store:
-            return cls(
-                store.rank_table,
-                store.iter_rank_paths(),
+            flat = FlatPLT.from_buckets(
+                store.iter_rank_path_buckets(),
                 min_support=store.min_support,
                 n_transactions=store.n_transactions,
             )
-
-    def plt(self) -> PLT:
-        """The full structure, rebuilt from the postings on first use."""
-        with self._lock:
-            if self._plt is None:
-                vectors = {
-                    position.path_to_vector(path): freq
-                    for path, freq in self.postings.paths()
-                }
-                self._plt = PLT.from_vectors(
-                    self.rank_table,
-                    vectors,
-                    min_support=self.min_support,
-                    n_transactions=self.n_transactions,
-                )
-            return self._plt
+            return cls(store.rank_table, flat)
 
 
 def serialize_rule(rule: Rule) -> dict:
@@ -263,6 +244,18 @@ class PatternEngine:
             )
         return s
 
+    @staticmethod
+    def _threshold(request, name: str, default):
+        """A numeric rule threshold; ``null`` only where it is the default."""
+        value = request.get(name, default)
+        if value is None and default is None:
+            return None
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ServeProtocolError(
+                f"{name} must be numeric, got {value!r}", code="bad_request"
+            )
+        return value
+
     def _decode(self, ranks) -> tuple:
         """Rank tuple -> canonical (sort_key-ordered) label tuple."""
         labels = self.index.rank_table.decode_ranks(sorted(ranks))
@@ -364,32 +357,23 @@ class PatternEngine:
         """Mine every frequent itemset containing ``rank``; exact supports.
 
         The item's conditional database is read straight off the postings:
-        each stored path through the rank, with the rank removed, delta
-        re-encoded and re-aggregated.  Mining it at ``min_support`` with
-        suffix ``(rank,)`` enumerates exactly the frequent itemsets
-        containing the item — bit-for-bit what filtering a full mine
-        yields, without ever running one.
+        each stored path through the rank, with the rank removed.  Mining
+        it at ``min_support`` with suffix ``(rank,)`` enumerates exactly
+        the frequent itemsets containing the item — bit-for-bit what
+        filtering a full mine yields, without ever running one.
 
         Returns ``((entries, complete, stop_reason), cacheable)`` where
         entries are decoded, canonically ordered, and ``cacheable`` is
         true only for complete answers.
         """
+        flat = self.index.postings
         pairs: list[tuple[tuple[int, ...], int]] = []
         complete = True
         stop_reason = None
         try:
             if governor is not None:
                 governor.check_now()
-            support = 0
-            prefixes: dict = {}
-            for path, freq in self.index.postings.paths_containing(rank):
-                if governor is not None:
-                    governor.tick()
-                support += freq
-                if len(path) > 1:
-                    rest = tuple(r for r in path if r != rank)
-                    vec = position.encode(rest)
-                    prefixes[vec] = prefixes.get(vec, 0) + freq
+            support = flat.support((rank,))
             if support >= min_support:
                 if governor is not None:
                     governor.note_itemsets()
@@ -400,10 +384,10 @@ class PatternEngine:
                         governor.note_itemsets()
                     pairs.append((itemset, sup))
 
-                if prefixes:
-                    mine_conditional_block(
-                        prefixes, rank, min_support, emit, None, governor=governor
-                    )
+                mine_conditional_paths(
+                    flat.paths_through(rank), rank, min_support, emit,
+                    governor=governor,
+                )
         except MiningInterrupted as exc:
             complete = False
             stop_reason = exc.reason
@@ -468,7 +452,7 @@ class PatternEngine:
             table_key = ("table", s)
             table = self.cache.peek(table_key)
             if table is None:
-                pairs = mine_conditional(self.index.plt(), s, governor=governor)
+                pairs = mine_conditional(self.index.postings, s, governor=governor)
                 decode = self.index.rank_table.decode_ranks
                 decoded = [
                     (tuple(sorted(decode(ranks), key=sort_key)), sup)
@@ -494,8 +478,8 @@ class PatternEngine:
 
     def _op_rules(self, request, cancel) -> dict:
         s = self._min_support(request)
-        min_confidence = request.get("min_confidence", 0.5)
-        min_lift = request.get("min_lift")
+        min_confidence = self._threshold(request, "min_confidence", 0.5)
+        min_lift = self._threshold(request, "min_lift", None)
         limit = request.get("limit", 50)
         if limit is not None and (
             isinstance(limit, bool) or not isinstance(limit, int) or limit < 1
@@ -526,8 +510,8 @@ class PatternEngine:
                 "basket items must be hashable scalars", code="bad_request"
             ) from None
         s = self._min_support(request)
-        min_confidence = request.get("min_confidence", 0.5)
-        min_lift = request.get("min_lift")
+        min_confidence = self._threshold(request, "min_confidence", 0.5)
+        min_lift = self._threshold(request, "min_lift", None)
         top = request.get("top", 5)
         if isinstance(top, bool) or not isinstance(top, int) or top < 1:
             raise ServeProtocolError(
@@ -565,7 +549,7 @@ class PatternEngine:
             "admission": self.admission.stats(),
             "index": {
                 "n_items": len(self.index.rank_table),
-                "n_paths": self.index.postings.n_paths(),
+                "n_paths": self.index.postings.n_paths,
                 "min_support": self.index.min_support,
                 "n_transactions": self.index.n_transactions,
             },

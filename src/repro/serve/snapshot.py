@@ -7,9 +7,10 @@ persists the worker's in-memory state through a two-generation
 CRC-framed :class:`~repro.robustness.checkpoint.CheckpointStore`:
 
 * a :class:`~repro.serve.engine.ServingIndex` is stored as the compact
-  PLT codec stream (``repro.compress.serialize_plt``) — rank table,
-  positional vectors, header facts — so restore is a deserialize plus a
-  postings rebuild, never a mine;
+  PLT codec stream, encoded straight from its columns
+  (``repro.compress.serialize_flat``) — rank table, positional vectors,
+  header facts — so restore is a deserialize plus a columnar lowering,
+  never a mine;
 * a :class:`~repro.stream.summary.StreamSummary` /
   :class:`~repro.stream.window.SlidingWindowSketch` reuses the stream
   tier's tagged snapshot bytes (:func:`repro.stream.ingest.sketch_to_blob`),
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.compress import deserialize_plt, serialize_plt
+from repro.compress import deserialize_plt, serialize_flat
 from repro.errors import CheckpointError, CodecError, InvalidParameterError
 from repro.robustness.checkpoint import CheckpointStore
 from repro.serve.engine import ServingIndex
@@ -63,7 +64,7 @@ _KIND_INDEX = b"I"
 def snapshot_blob(state) -> bytes:
     """Serialize a serving state (index or sketch) to tagged bytes."""
     if isinstance(state, ServingIndex):
-        return _KIND_INDEX + serialize_plt(state.plt())
+        return _KIND_INDEX + serialize_flat(state.postings, state.rank_table)
     if isinstance(state, (StreamSummary, SlidingWindowSketch)):
         return sketch_to_blob(state)
     raise InvalidParameterError(
@@ -78,16 +79,10 @@ def restore_from_blob(blob: bytes):
         raise CheckpointError("empty serving snapshot")
     if blob[:1] == _KIND_INDEX:
         try:
-            plt = deserialize_plt(blob[1:])
+            # the PLT stays a temporary, so from_plt can free it once lowered
+            return ServingIndex.from_plt(deserialize_plt(blob[1:]))
         except CodecError as exc:
             raise CheckpointError(f"damaged serving-index snapshot: {exc}") from exc
-        return ServingIndex(
-            plt.rank_table,
-            plt.iter_rank_paths(),
-            min_support=plt.min_support,
-            n_transactions=plt.n_transactions,
-            plt=plt,
-        )
     return sketch_from_blob(blob)
 
 

@@ -5,8 +5,10 @@ import pytest
 from repro.compress.plt_codec import (
     deserialize_plt,
     encoded_size_report,
+    serialize_flat,
     serialize_plt,
 )
+from repro.core.flat import FlatPLT
 from repro.core.plt import PLT
 from repro.core.rank import RankTable
 from repro.data.generators import generate_zipf
@@ -54,6 +56,41 @@ class TestRoundtrip:
         assert sorted(mine_conditional(restored, 2)) == sorted(
             mine_conditional(paper_plt, 2)
         )
+
+
+#: The paper example's PLT1 stream as the partition-walking encoder wrote it
+#: (min_support 2, 6 transactions, labels A-D, 3 partitions of 1 + 3 + 1
+#: sorted vectors).  The column encoder must reproduce it byte for byte so
+#: snapshots written before it keep loading and keep their digests.
+PAPER_PLT1 = bytes.fromhex(
+    "504c543100020604010141010142010143010144030201030101030301010102"
+    "000102010101010104010101010101"
+)
+
+
+class TestGoldenStream:
+    def test_plt_encoder_matches_golden(self, paper_plt):
+        assert serialize_plt(paper_plt) == PAPER_PLT1
+
+    def test_column_encoder_matches_golden(self, paper_plt):
+        flat = FlatPLT.from_plt(paper_plt)
+        assert serialize_flat(flat, paper_plt.rank_table) == PAPER_PLT1
+
+    def test_golden_decodes_to_paper_plt(self, paper_plt):
+        assert_same_plt(deserialize_plt(PAPER_PLT1), paper_plt)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_column_order_does_not_change_bytes(self, seed):
+        # a store streams its buckets with every bucket's paths sorted, a
+        # live PLT in insertion order: the encoder sorts rows either way
+        plt = PLT.from_transactions(random_database(seed + 4400), 2)
+        shuffled = FlatPLT.from_buckets(
+            ((key, dict(sorted(bucket.items(), reverse=True)))
+             for key, bucket in plt.iter_rank_path_buckets()),
+            min_support=plt.min_support,
+            n_transactions=plt.n_transactions,
+        )
+        assert serialize_flat(shuffled, plt.rank_table) == serialize_plt(plt)
 
 
 class TestRejection:

@@ -2,47 +2,52 @@
 
 import pytest
 
-from repro.compress.index import LengthIndex, SumIndex
+from repro.compress.index import LengthIndex
+from repro.core.flat import FlatPLT
 from repro.core.plt import PLT
+from repro.core.position import path_to_vector
 from repro.errors import ReproError
 from tests.conftest import random_database
 
 
+def _sum_index(flat):
+    """``{sum: {vector: freq}}`` read off the bucket columns."""
+    keys, boff = flat.bucket_keys, flat.bucket_offsets
+    return {
+        keys[b]: {
+            path_to_vector(flat.path(p)): flat.freqs[p]
+            for p in range(boff[b], boff[b + 1])
+        }
+        for b in range(flat.n_buckets)
+    }
+
+
 class TestSumIndex:
+    """The sum index is the columns' ``bucket_keys`` / ``bucket_offsets``."""
+
     def test_buckets_match_plt_sum_index(self, paper_plt):
-        idx = SumIndex(paper_plt)
-        raw = paper_plt.sum_index()
-        assert set(idx.sums()) == set(raw)
-        for s in raw:
-            assert dict(idx.bucket(s)) == raw[s]
+        assert _sum_index(FlatPLT.from_plt(paper_plt)) == paper_plt.sum_index()
 
     def test_sums_descending(self, paper_plt):
-        idx = SumIndex(paper_plt)
-        sums = idx.sums()
+        sums = list(FlatPLT.from_plt(paper_plt).bucket_keys)
         assert sums == sorted(sums, reverse=True)
 
     def test_support_is_bucket_total(self, paper_plt):
-        idx = SumIndex(paper_plt)
+        buckets = _sum_index(FlatPLT.from_plt(paper_plt))
         # vectors ending at rank 4: CD, ABD, BCD, ABCD -> total freq 4
-        assert idx.support(4) == 4
-        assert idx.support(3) == 2  # ABC x2
-        assert idx.support(99) == 0
+        assert sum(buckets[4].values()) == 4
+        assert sum(buckets[3].values()) == 2  # ABC x2
+        assert 99 not in buckets
 
     def test_contains_len(self, paper_plt):
-        idx = SumIndex(paper_plt)
-        assert 4 in idx and 99 not in idx
-        assert len(idx) == 2
-
-    def test_bucket_returns_copy(self, paper_plt):
-        idx = SumIndex(paper_plt)
-        b = idx.bucket(4)
-        b.clear()
-        assert idx.bucket(4)
+        flat = FlatPLT.from_plt(paper_plt)
+        assert 4 in flat.bucket_keys and 99 not in flat.bucket_keys
+        assert flat.n_buckets == 2
 
     def test_empty_plt(self):
-        idx = SumIndex(PLT.from_transactions([], 1))
-        assert idx.sums() == []
-        assert len(idx) == 0
+        flat = FlatPLT.from_plt(PLT.from_transactions([], 1))
+        assert list(flat.bucket_keys) == []
+        assert flat.n_buckets == 0
 
 
 class TestLengthIndex:

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.core.flat import FlatPLT
+from repro.core.flat import FLAT_FIELDS, FlatPLT
 from repro.core.plt import PLT
 from tests.conftest import random_database
 
@@ -87,6 +87,89 @@ class TestColumnPasses:
             for pos, rank in enumerate(path):
                 costs[rank] += pos
         assert flat.rank_costs() == costs
+
+
+def _oracle(db, plt):
+    """Brute force over the transactions: each as its sorted frequent ranks."""
+    table = plt.rank_table
+    return [tuple(sorted(table.rank(i) for i in t if i in table)) for t in db]
+
+
+def _oracle_support(rows, ranks):
+    wanted = set(ranks)
+    return sum(1 for row in rows if wanted.issubset(row))
+
+
+def _oracle_paths_through(rows, rank):
+    out = {}
+    for row in rows:
+        if rank in row and len(row) > 1:
+            rest = tuple(r for r in row if r != rank)
+            out[rest] = out.get(rest, 0) + 1
+    return out
+
+
+class TestPostings:
+    """``support`` and ``paths_through`` against counts over the raw rows."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_match_brute_force(self, seed):
+        import random
+
+        db = random_database(seed + 950, max_items=12, max_transactions=60)
+        plt = PLT.from_transactions(db, 2)
+        flat = FlatPLT.from_plt(plt)
+        rows = _oracle(db, plt)
+        n_ranks = len(plt.rank_table)
+        rng = random.Random(seed)
+        for rank in range(1, n_ranks + 1):
+            assert flat.support((rank,)) == _oracle_support(rows, (rank,))
+            assert flat.paths_through(rank) == _oracle_paths_through(rows, rank)
+        for _ in range(40):
+            query = [rng.randint(1, n_ranks) for _ in range(rng.randint(1, 4))]
+            assert flat.support(query) == _oracle_support(rows, query), query
+
+    def test_repeated_ranks_count_once(self):
+        db = random_database(970, max_items=10, max_transactions=50)
+        flat = FlatPLT.from_plt(PLT.from_transactions(db, 2))
+        assert flat.support((2, 2)) == flat.support((2,))
+        assert flat.support((1, 3, 1, 3)) == flat.support((3, 1))
+
+    def test_absent_ranks_and_empty_query(self, paper_db, paper_plt):
+        flat = FlatPLT.from_plt(paper_plt)
+        assert flat.support((0,)) == flat.support((99,)) == 0
+        assert flat.support((1, 99)) == 0
+        assert flat.paths_through(0) == flat.paths_through(99) == {}
+        # the empty itemset is contained in every stored transaction
+        assert flat.support(()) == len(paper_db)
+
+    def test_empty_db(self):
+        flat = FlatPLT.from_plt(PLT.from_transactions([], 1))
+        assert flat.support((1,)) == flat.support((1, 2)) == 0
+        assert flat.paths_through(1) == {}
+
+    def test_one_item_db(self):
+        db = [frozenset({"x"})] * 3 + [frozenset()]
+        plt = PLT.from_transactions(db, 1)
+        flat = FlatPLT.from_plt(plt)
+        assert flat.support((1,)) == flat.support((1, 1)) == 3
+        # the only path is the item itself: nothing is left once it is removed
+        assert flat.paths_through(1) == {}
+
+    def test_postings_stay_out_of_the_segment(self):
+        db = random_database(971, max_items=8, max_transactions=30)
+        flat = FlatPLT.from_plt(PLT.from_transactions(db, 2))
+        flat.postings()
+        shared = flat.to_shared_memory()
+        try:
+            fields = {field for field, _code, _n in shared.meta["layout"]}
+            assert fields == {field for field, _code in FLAT_FIELDS}
+            attached = FlatPLT.attach(shared.meta)
+            assert attached.support((1, 2)) == flat.support((1, 2))
+            attached.detach()
+        finally:
+            shared.close()
+            shared.unlink()
 
 
 class TestSharedMemory:

@@ -15,6 +15,7 @@ The engine's isolation invariants under concurrent load:
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -263,3 +264,43 @@ class TestAdmission:
         stats = engine.admission.stats()
         assert stats["rejected"] == 1
         assert stats["inflight"] == 0
+
+
+class TestFirstRulesQueries:
+    """The first rules queries mine the shared columns from several threads."""
+
+    def test_two_support_levels_at_once_match_serial(self, db):
+        levels = [
+            {"op": "rules", "min_support": s, "min_confidence": 0.5, "limit": None}
+            for s in (2, 3)
+        ]
+        serial_engine = PatternEngine(ServingIndex.from_transactions(db, 2))
+        serial = [serial_engine.handle(dict(r))["result"] for r in levels]
+        # two threads per level: more threads than cores, and identical
+        # queries coalescing while the other level mines alongside
+        requests = levels * 2
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _round in range(5):
+                engine = PatternEngine(ServingIndex.from_transactions(db, 2))
+                barrier = threading.Barrier(len(requests))
+                answers: list = [None] * len(requests)
+
+                def worker(slot):
+                    barrier.wait(10.0)
+                    answers[slot] = engine.handle(dict(requests[slot]))
+
+                threads = [
+                    threading.Thread(target=worker, args=(slot,))
+                    for slot in range(len(requests))
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(30.0)
+                    assert not t.is_alive()
+                assert all(env["ok"] for env in answers), answers
+                assert [env["result"] for env in answers] == serial * 2
+        finally:
+            sys.setswitchinterval(old_interval)

@@ -228,6 +228,53 @@ class TestFaultContainment:
             assert env["ok"] and env["result"]["queries"] >= 1
 
 
+#: Rule thresholds that are not numbers: each must be a ``bad_request``.
+BAD_THRESHOLDS = [
+    ("min_confidence", "0.5"),
+    ("min_confidence", None),
+    ("min_confidence", [0.5]),
+    ("min_confidence", True),
+    ("min_lift", "1.2"),
+    ("min_lift", [1.2]),
+    ("min_lift", {"value": 1.2}),
+    ("min_lift", False),
+]
+
+
+def _rule_request(op, field, value):
+    request = {"op": op, field: value}
+    if op == "recommend":
+        request["basket"] = [0]
+    return request
+
+
+class TestMalformedRuleThresholds:
+    @pytest.mark.parametrize("op", ["rules", "recommend"])
+    @pytest.mark.parametrize("field,value", BAD_THRESHOLDS)
+    def test_rejected_in_process(self, op, field, value):
+        engine = PatternEngine(ServingIndex.from_transactions(
+            random_database(9100, max_items=8, max_transactions=30), 2
+        ))
+        envelope = engine.handle(_rule_request(op, field, value))
+        assert envelope["ok"] is False
+        assert envelope["code"] == "bad_request"
+        assert field in envelope["error"]
+
+    @pytest.mark.parametrize("op", ["rules", "recommend"])
+    def test_rejected_over_the_wire_on_a_live_connection(self, server, op):
+        before = server.stats()["connection_errors"]
+        with ServeClient(port=server.port) as client:
+            for field, value in BAD_THRESHOLDS:
+                envelope = client.request(_rule_request(op, field, value))
+                assert envelope["ok"] is False, (field, value)
+                assert envelope["code"] == "bad_request"
+            # the handler thread survived: the same connection still answers
+            assert client.request(_rule_request(op, "min_lift", None))["ok"]
+            assert client.request(_rule_request(op, "min_confidence", 1))["ok"]
+        assert server.stats()["connection_errors"] == before
+        _assert_alive(server)
+
+
 class _BlockingEngine:
     """Wedges inside ``handle`` until released — builds an abandonable
     handler thread for the stop-deadline tests."""

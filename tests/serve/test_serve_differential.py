@@ -5,19 +5,27 @@ fronts: a frequency answer equals :meth:`PLT.support_of`, a conditional
 top-k answer equals filtering a full :func:`mine_frequent_itemsets` run,
 a rules answer equals :func:`rules_from_result` — across 20 seeded
 databases, with the cache cold, warm, and disabled, and with budget
-trips marked exactly as :class:`PartialResult` marks them.
+trips marked exactly as :class:`PartialResult` marks them.  An index
+loaded off a store answers and snapshots exactly like one built from the
+database, and no loaded index keeps a PLT alive.
 """
 
 from __future__ import annotations
 
+import gc
+from types import ModuleType
+
 import pytest
 
 from repro.apps.classifier import first_matching_rule
+from repro.compress.store import PLTStore
 from repro.core.mining import mine_frequent_itemsets
 from repro.core.plt import PLT
 from repro.core.rank import sort_key
+from repro.data.quest import generate_quest
 from repro.rules.generation import rules_from_result
 from repro.serve.engine import PatternEngine, ServingIndex, serialize_rule
+from repro.serve.snapshot import restore_from_blob, snapshot_blob
 from tests.conftest import random_database
 
 SEEDS = range(20)
@@ -245,3 +253,53 @@ class TestRulesDifferential:
             assert got["best"] is None
         else:
             assert got["best"] == serialize_rule(best)
+
+
+def _quest_db(seed):
+    return generate_quest(
+        n_transactions=300, n_items=30, n_patterns=15,
+        avg_transaction_len=6, avg_pattern_len=3, seed=seed,
+    )
+
+
+class TestStoreModeMatchesDbMode:
+    """A daemon loaded off a ``PLTStore`` answers like one built from the db."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_answers_and_snapshot_bytes_match(self, tmp_path, seed):
+        db = _quest_db(seed + 61)
+        s = 15
+        direct = ServingIndex.from_transactions(db, s)
+        path = PLTStore.write(PLT.from_transactions(db, s), tmp_path / "q.plts")
+        stored = ServingIndex.from_store(path)
+        assert snapshot_blob(stored) == snapshot_blob(direct)
+        engines = PatternEngine(direct), PatternEngine(stored)
+        items = sorted(direct.rank_table.items(), key=sort_key)
+        requests = [{"op": "frequency", "items": [i]} for i in items]
+        requests += [
+            {"op": "frequency", "items": [a, b]} for a in items[:6] for b in items[6:12]
+        ]
+        requests += [{"op": "topk", "item": i, "k": None} for i in items]
+        requests.append({"op": "rules", "min_confidence": 0.5, "limit": None})
+        for request in requests:
+            want, got = (engine.handle(dict(request)) for engine in engines)
+            assert want["ok"] and got["ok"], (want, got)
+            assert got["result"] == want["result"], request
+
+
+class TestIndexHoldsOnlyColumns:
+    def test_no_plt_reachable(self, tmp_path):
+        db = _db(3)
+        plt = PLT.from_transactions(db, 2)
+        path = PLTStore.write(plt, tmp_path / "r.plts")
+        built = ServingIndex.from_transactions(db, 2)
+        for index in (built, ServingIndex.from_store(path),
+                      restore_from_blob(snapshot_blob(built))):
+            seen, todo = set(), [index]
+            while todo:
+                obj = todo.pop()
+                if id(obj) in seen or isinstance(obj, (type, ModuleType)):
+                    continue
+                seen.add(id(obj))
+                assert not isinstance(obj, PLT)
+                todo.extend(gc.get_referents(obj))
