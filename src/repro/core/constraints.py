@@ -28,7 +28,7 @@ from collections.abc import Callable, Hashable, Iterable
 
 from repro.core.conditional import _consume_bucket, build_conditional_buckets
 from repro.core.plt import PLT
-from repro.core.rank import sort_key
+from repro.core.rank import CanonicalDecoder, sort_key
 from repro.data.transaction_db import TransactionDatabase, resolve_min_support
 from repro.errors import InvalidSupportError, UnknownItemError
 
@@ -126,21 +126,16 @@ def mine_constrained(
         except UnknownItemError:  # pragma: no cover - guarded above
             return []
 
-    def decode(ranks: tuple[int, ...]) -> tuple:
-        return tuple(sorted(table.decode_ranks(ranks), key=sort_key))
+    decoder = CanonicalDecoder(table)
+    results: list[tuple[tuple[int, ...], int]] = []
 
-    results: list[tuple[tuple, int]] = []
+    def accept(itemset_ranks: tuple[int, ...]) -> bool:
+        """Predicate gate over the decoded itemset."""
+        return predicate is None or bool(predicate(decoder.decode(itemset_ranks)))
 
-    def accept(itemset_ranks: tuple[int, ...], support: int) -> tuple | None:
-        """Predicate gate; returns the decoded itemset when it passes."""
-        items = decode(itemset_ranks)
-        if predicate is not None and not predicate(items):
-            return None
-        return items
-
-    def emit(itemset_ranks: tuple[int, ...], support: int, items: tuple) -> None:
+    def emit(itemset_ranks: tuple[int, ...], support: int) -> None:
         if required_ranks <= set(itemset_ranks):
-            results.append((items, support))
+            results.append((itemset_ranks, support))
 
     def mine(buckets, suffix) -> None:
         for j in range(max(buckets, default=0), 0, -1):
@@ -151,15 +146,13 @@ def mine_constrained(
             if support < abs_support:
                 continue
             itemset = suffix + (j,)
-            items = accept(itemset, support)
-            if items is None:
+            if not accept(itemset):
                 continue  # anti-monotone: no superset can pass either
-            emit(itemset, support, items)
+            emit(itemset, support)
             if cd and (max_len is None or len(itemset) < max_len):
                 sub = build_conditional_buckets(cd, abs_support)
                 if sub:
                     mine(sub, itemset)
 
     mine(plt.sum_index(), ())
-    results.sort(key=lambda p: (len(p[0]), [sort_key(i) for i in p[0]]))
-    return results
+    return decoder.itemsets(results)

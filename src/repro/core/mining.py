@@ -21,7 +21,7 @@ from typing import Callable, Hashable
 
 from repro.core.conditional import mine_conditional
 from repro.core.plt import PLT
-from repro.core.rank import sort_key
+from repro.core.rank import canonical_itemsets, sort_key
 from repro.core.topdown import mine_topdown
 from repro.data.transaction_db import TransactionDatabase, resolve_min_support
 from repro.errors import (
@@ -52,7 +52,7 @@ __all__ = [
 Item = Hashable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrequentItemset:
     """An itemset together with its absolute support count."""
 
@@ -78,7 +78,9 @@ class MiningResult(Sequence):
     """Ordered collection of frequent itemsets plus run metadata.
 
     Itemsets are sorted canonically (by length, then lexicographically) so
-    results from different miners compare equal.
+    results from different miners compare equal.  The constructor sorts
+    whatever it is given; :meth:`from_ranks` builds the same order
+    straight from a PLT miner's rank tuples without a second sort.
 
     ``complete``/``approximate`` distinguish the governed-result variants:
     a plain :class:`MiningResult` is the full exact answer
@@ -116,6 +118,27 @@ class MiningResult(Sequence):
         self.n_transactions = n_transactions
         self.min_support = min_support
         self.method = method
+        self._supports: dict[frozenset, int] | None = None
+
+    @classmethod
+    def from_ranks(cls, pairs, table, **meta) -> "MiningResult":
+        """Build a result from ``(rank tuple, support)`` pairs and their table.
+
+        The pairs are decoded by :func:`~repro.core.rank.canonical_itemsets`
+        straight into canonical order (repeated itemsets collapse), so the
+        result is the one the constructor would build from the decoded
+        itemsets, without calling ``sort_key`` per itemset or sorting twice.
+        ``meta`` holds the keyword arguments of ``cls``'s constructor
+        (``n_transactions``, ``min_support``, ``method``, ...).
+        """
+        return cls._presorted(canonical_itemsets(pairs, table), **meta)
+
+    @classmethod
+    def _presorted(cls, pairs, **meta) -> "MiningResult":
+        """A result over ``(items, support)`` pairs already in canonical order."""
+        result = cls((), **meta)
+        result._itemsets = [FrequentItemset(items, sup) for items, sup in pairs]
+        return result
 
     # -- Sequence protocol ------------------------------------------------
     def __len__(self) -> int:
@@ -131,7 +154,7 @@ class MiningResult(Sequence):
         """Equality is *semantic*: same itemsets with same supports."""
         if not isinstance(other, MiningResult):
             return NotImplemented
-        return self.as_dict() == other.as_dict()
+        return self._support_table() == other._support_table()
 
     def __repr__(self) -> str:
         return (
@@ -141,7 +164,14 @@ class MiningResult(Sequence):
 
     # -- views ------------------------------------------------------------
     def as_dict(self) -> dict[frozenset, int]:
-        return {fi.as_frozenset(): fi.support for fi in self._itemsets}
+        return dict(self._support_table())
+
+    def _support_table(self) -> dict[frozenset, int]:
+        # built on first use and kept: a result never changes after
+        # construction, so lookups need not rebuild it
+        if self._supports is None:
+            self._supports = {fi.as_frozenset(): fi.support for fi in self._itemsets}
+        return self._supports
 
     def itemsets_of_size(self, k: int) -> list[FrequentItemset]:
         return [fi for fi in self._itemsets if len(fi) == k]
@@ -155,13 +185,10 @@ class MiningResult(Sequence):
 
     def support_of(self, itemset: Iterable[Item]) -> int | None:
         """Support of the given itemset, or None if it is not frequent."""
-        return self.as_dict().get(frozenset(itemset))
+        return self._support_table().get(frozenset(itemset))
 
     def maximal(self) -> "MiningResult":
         """Itemsets with no frequent proper superset."""
-        by_size: dict[int, list[FrequentItemset]] = {}
-        for fi in self._itemsets:
-            by_size.setdefault(len(fi), []).append(fi)
         all_sets = [fi.as_frozenset() for fi in self._itemsets]
         keep = []
         for fi in self._itemsets:
@@ -177,7 +204,7 @@ class MiningResult(Sequence):
 
     def closed(self) -> "MiningResult":
         """Itemsets with no proper superset of the *same* support."""
-        table = self.as_dict()
+        table = self._support_table()
         keep = []
         for fi in self._itemsets:
             s = fi.as_frozenset()
@@ -285,22 +312,12 @@ class ApproximateResult(MiningResult):
 def _decode_partial(exc: MiningInterrupted, table) -> None:
     """Decode a miner's rank-pair ``partial`` into item space, in place.
 
-    Kept lean (no set construction, one sort per itemset) — partials can
-    hold tens of thousands of pairs and this runs *after* the deadline
-    already expired, so it is pure latency on top of the budget.
+    ``exc.partial_items`` comes out in canonical order, ready for
+    :meth:`MiningResult._presorted` — partials can hold tens of thousands
+    of pairs and this runs *after* the deadline already expired, so it is
+    pure latency on top of the budget.
     """
-    # rank -> label and rank -> sort position, computed once; per-pair work
-    # is then a list-indexed sort plus a tuple build
-    labels = (None,) + table.items()
-    order = sorted(range(1, len(labels)), key=lambda r: sort_key(labels[r]))
-    position = [0] * len(labels)
-    for pos, r in enumerate(order):
-        position[r] = pos
-    key = position.__getitem__
-    exc.partial_items = [
-        (tuple(labels[r] for r in sorted(ranks, key=key)), sup)
-        for ranks, sup in exc.partial
-    ]
+    exc.partial_items = canonical_itemsets(exc.partial, table)
 
 
 def _mine_plt(transactions, abs_support, order, max_len, **kwargs):
@@ -316,7 +333,7 @@ def _mine_plt(transactions, abs_support, order, max_len, **kwargs):
     except MiningInterrupted as exc:
         _decode_partial(exc, table)
         raise
-    return {frozenset(table.decode_ranks(ranks)): sup for ranks, sup in pairs}
+    return pairs, table
 
 
 def _mine_plt_topdown(transactions, abs_support, order, max_len, **kwargs):
@@ -338,7 +355,7 @@ def _mine_plt_topdown(transactions, abs_support, order, max_len, **kwargs):
     except MiningInterrupted as exc:
         _decode_partial(exc, table)
         raise
-    return {frozenset(table.decode_ranks(ranks)): sup for ranks, sup in pairs}
+    return pairs, table
 
 
 def _mine_bruteforce(transactions, abs_support, order, max_len, **kwargs):
@@ -442,7 +459,7 @@ def _mine_plt_parallel(transactions, abs_support, order, max_len, **kwargs):
     except MiningInterrupted as exc:
         _decode_partial(exc, table)
         raise
-    return {frozenset(table.decode_ranks(ranks)): sup for ranks, sup in pairs}
+    return pairs, table
 
 
 def _mine_plt_distributed(transactions, abs_support, order, max_len, **kwargs):
@@ -501,14 +518,10 @@ def _degrade(
 
         plt = PLT.from_transactions(transactions, abs_support, order=order)
         pairs = mine_top_k(plt, policy.k, max_len=max_len)
-        table = plt.rank_table
-        itemsets = [
-            FrequentItemset(
-                tuple(sorted(table.decode_ranks(ranks), key=sort_key)), sup
-            )
-            for ranks, sup in pairs
-            if sup >= abs_support
-        ]
+        itemsets = canonical_itemsets(
+            ((ranks, sup) for ranks, sup in pairs if sup >= abs_support),
+            plt.rank_table,
+        )
         disclaimer = (
             f"approximate result: supports are exact but only the "
             f"{policy.k} most frequent itemsets were mined "
@@ -527,7 +540,7 @@ def _degrade(
         for t in transactions:
             summary.push(t)
         sketched = summary.as_result(abs_support, method=method + "+approx-sketch")
-        itemsets = list(sketched)
+        itemsets = [(fi.items, fi.support) for fi in sketched]
         disclaimer = (
             f"approximate result: supports are one-sided count-min estimates "
             f"(never below the true support, above it by at most "
@@ -554,7 +567,7 @@ def _degrade(
         )
         scale = n / size
         itemsets = [
-            FrequentItemset(fi.items, est)
+            (fi.items, est)
             for fi in sub
             if (est := round(fi.support * scale)) >= abs_support
         ]
@@ -570,7 +583,9 @@ def _degrade(
             "seed": policy.seed,
             "stop_reason": reason,
         }
-    return ApproximateResult(
+    # every fallback yields canonically ordered pairs: top-k through
+    # canonical_itemsets, sketch and sampling from results already sorted
+    return ApproximateResult._presorted(
         itemsets,
         n_transactions=n,
         min_support=abs_support,
@@ -645,8 +660,8 @@ def mine_frequent_itemsets(
     --------
     >>> from repro import mine_frequent_itemsets
     >>> res = mine_frequent_itemsets([("a", "b"), ("a", "b", "c"), ("a",)], 2)
-    >>> sorted((tuple(sorted(fi.items)), fi.support) for fi in res)
-    [(('a',), 3), (('a', 'b'), 2), (('b',), 2)]
+    >>> [(fi.items, fi.support) for fi in res]  # by length, then items
+    [(('a',), 3), (('b',), 2), (('a', 'b'), 2)]
     """
     if method not in METHODS:
         raise ReproError(
@@ -686,7 +701,7 @@ def mine_frequent_itemsets(
         transactions = TransactionDatabase(transactions)
     abs_support = resolve_min_support(min_support, len(transactions))
     try:
-        table = METHODS[method](transactions, abs_support, order, max_len, **kwargs)
+        mined = METHODS[method](transactions, abs_support, order, max_len, **kwargs)
     except AdmissionRejected:
         if degradation is None:
             raise
@@ -702,13 +717,11 @@ def mine_frequent_itemsets(
                 transactions, abs_support, order, max_len, degradation, method,
                 exc.reason,
             )
-        partial_items = getattr(exc, "partial_items", [])
-        itemsets = [FrequentItemset(items, sup) for items, sup in partial_items]
         progress = dict(governor.progress) if governor is not None else {}
         progress.update(exc.progress)
         progress = {k: v for k, v in progress.items() if not k.startswith("_")}
-        return PartialResult(
-            itemsets,
+        return PartialResult._presorted(
+            getattr(exc, "partial_items", ()),
             n_transactions=len(transactions),
             min_support=abs_support,
             method=method,
@@ -716,16 +729,16 @@ def mine_frequent_itemsets(
             elapsed=governor.elapsed() if governor is not None else 0.0,
             progress=progress,
         )
+    meta = dict(
+        n_transactions=len(transactions), min_support=abs_support, method=method
+    )
+    if isinstance(mined, tuple):  # a PLT miner's (rank pairs, rank table)
+        return MiningResult.from_ranks(*mined, **meta)
     itemsets = [
         FrequentItemset(tuple(sorted(items, key=sort_key)), sup)
-        for items, sup in table.items()
+        for items, sup in mined.items()
     ]
-    return MiningResult(
-        itemsets,
-        n_transactions=len(transactions),
-        min_support=abs_support,
-        method=method,
-    )
+    return MiningResult(itemsets, **meta)
 
 
 def _mine_condensed(transactions, min_support, order, kind):
@@ -736,16 +749,9 @@ def _mine_condensed(transactions, min_support, order, kind):
     abs_support = resolve_min_support(min_support, len(transactions))
     plt = PLT.from_transactions(transactions, abs_support, order=order)
     miner = mine_closed if kind == "closed" else mine_maximal
-    pairs = miner(plt, abs_support)
-    table = plt.rank_table
-    itemsets = [
-        FrequentItemset(
-            tuple(sorted(table.decode_ranks(ranks), key=sort_key)), sup
-        )
-        for ranks, sup in pairs
-    ]
-    return MiningResult(
-        itemsets,
+    return MiningResult.from_ranks(
+        miner(plt, abs_support),
+        plt.rank_table,
         n_transactions=len(transactions),
         min_support=abs_support,
         method=f"plt-{kind}",

@@ -15,11 +15,18 @@ from.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from operator import itemgetter
 from typing import Any, Hashable
 
 from repro.errors import RankTableError, UnknownItemError
 
-__all__ = ["RankTable", "ORDER_POLICIES", "sort_key"]
+__all__ = [
+    "RankTable",
+    "ORDER_POLICIES",
+    "sort_key",
+    "CanonicalDecoder",
+    "canonical_itemsets",
+]
 
 Item = Hashable
 
@@ -66,8 +73,28 @@ def _comparable(item: Any) -> Any:
     if isinstance(item, (int, float, str, bytes)):
         return item
     if isinstance(item, tuple):
-        return tuple(_comparable(x) for x in item)
+        return tuple(map(_element_key, item))
     return _ReprOrdered(item)
+
+
+def _element_key(item: Any) -> tuple:
+    """Key of one tuple element: a kind tag, then the comparable value.
+
+    The tag orders elements of different kinds (``(1, "a")`` vs
+    ``(1, 2)``) instead of letting ``<`` raise.  Kinds are the groups that
+    already compared with each other untagged — ints and floats together,
+    then strs, bytes, tuples and repr-ordered values — so any two tuples
+    that compared before keep their order.
+    """
+    if isinstance(item, (int, float)):
+        return (0, item)
+    if isinstance(item, str):
+        return (1, item)
+    if isinstance(item, bytes):
+        return (2, item)
+    if isinstance(item, tuple):
+        return (3, tuple(map(_element_key, item)))
+    return (4, _ReprOrdered(item))
 
 
 class RankTable:
@@ -204,3 +231,90 @@ class RankTable:
     def decode_ranks(self, ranks: Iterable[int]) -> tuple[Item, ...]:
         """Map a rank tuple back to item labels (in the same order)."""
         return tuple(self.item(r) for r in ranks)
+
+
+class CanonicalDecoder:
+    """Rank tuples -> label tuples in canonical (:func:`sort_key`) order.
+
+    Built once per :class:`RankTable`: it sorts the table's ``n`` labels by
+    :func:`sort_key` into a rank -> sort-position map, and those ``n``
+    calls are the only ``sort_key`` calls it makes.  The map is the
+    identity whenever the ranks already follow ``sort_key`` — every
+    lexicographic table built by :meth:`RankTable.from_supports` or
+    :meth:`RankTable.from_items` — and is then skipped; the support
+    orders pay one extra integer map per itemset.  After that an itemset
+    costs an integer sort and tuple indexing.
+
+    Out-of-range ranks raise :class:`~repro.errors.UnknownItemError`, as
+    :meth:`RankTable.decode_ranks` does.
+    """
+
+    __slots__ = ("_labels", "_position", "_n")
+
+    def __init__(self, table: RankTable) -> None:
+        items = table.items()
+        n = len(items)
+        order = sorted(range(1, n + 1), key=lambda r: sort_key(items[r - 1]))
+        # index 0 is never read: ranks and positions are 1-based
+        self._labels = (None,) + tuple(items[r - 1] for r in order)
+        self._n = n
+        if order == list(range(1, n + 1)):
+            self._position = None
+        else:
+            position = [0] * (n + 1)
+            for pos, r in enumerate(order, 1):
+                position[r] = pos
+            self._position = position
+
+    def _check(self, lo: int, hi: int) -> None:
+        if lo < 1:
+            raise UnknownItemError(lo)
+        if hi > self._n:
+            raise UnknownItemError(hi)
+
+    def decode(self, ranks: Iterable[int]) -> tuple:
+        """One itemset's labels, in canonical order."""
+        key = sorted(ranks)
+        if not key:
+            return ()
+        self._check(key[0], key[-1])
+        if self._position is not None:
+            key = sorted([self._position[r] for r in key])
+        labels = self._labels
+        return tuple([labels[p] for p in key])
+
+    def itemsets(
+        self, pairs: Iterable[tuple[Iterable[int], int]]
+    ) -> list[tuple[tuple, int]]:
+        """``(rank tuple, support)`` pairs -> canonical ``(items, support)``.
+
+        The result is ordered by length, then by the items' ``sort_key``s —
+        the order :class:`~repro.core.mining.MiningResult` sorts into — and
+        itemsets repeated in ``pairs`` collapse to one entry (the last
+        support wins, as in a dict).  Rank tuples need not be sorted.
+        """
+        rows = {tuple(sorted(ranks)): support for ranks, support in pairs}
+        self._check(
+            min(map(itemgetter(0), filter(None, rows)), default=1),
+            max(map(itemgetter(-1), filter(None, rows)), default=0),
+        )
+        if self._position is not None:
+            position = self._position
+            rows = {
+                tuple(sorted([position[r] for r in ranks])): support
+                for ranks, support in rows.items()
+            }
+        keys = sorted(rows)
+        keys.sort(key=len)  # stable: (length, positions)
+        labels = self._labels
+        return [(tuple([labels[p] for p in key]), rows[key]) for key in keys]
+
+
+def canonical_itemsets(
+    pairs: Iterable[tuple[Iterable[int], int]], table: RankTable
+) -> list[tuple[tuple, int]]:
+    """Decode a miner's ``(rank tuple, support)`` pairs in canonical order.
+
+    Shorthand for ``CanonicalDecoder(table).itemsets(pairs)``.
+    """
+    return CanonicalDecoder(table).itemsets(pairs)

@@ -16,6 +16,7 @@ from collections.abc import Hashable, Iterable
 from repro.core.conditional import mine_conditional
 from repro.core.incremental import IncrementalPLT
 from repro.core.plt import PLT
+from repro.core.rank import canonical_itemsets
 from repro.errors import InvalidSupportError
 
 __all__ = ["SlidingWindowPLT"]
@@ -87,16 +88,10 @@ class SlidingWindowPLT:
         """
         if not self._window:
             return []
-        from repro.core.rank import sort_key
-
         plt = self.snapshot(min_support)
-        table = plt.rank_table
-        pairs = [
-            (table.decode_ranks(ranks), support)
-            for ranks, support in mine_conditional(plt, plt.min_support, max_len=max_len)
-        ]
-        pairs.sort(key=lambda p: (len(p[0]), [sort_key(i) for i in p[0]]))
-        return pairs
+        return canonical_itemsets(
+            mine_conditional(plt, plt.min_support, max_len=max_len), plt.rank_table
+        )
 
     def __repr__(self) -> str:
         return (

@@ -66,7 +66,7 @@ from repro.compress.plt_codec import decode_label, encode_label
 from repro.compress.varint import decode_uvarint, encode_uvarint
 from repro.core import position
 from repro.core.conditional import mine_conditional_block
-from repro.core.rank import RankTable, sort_key
+from repro.core.rank import RankTable, canonical_itemsets, sort_key
 from repro.data.transaction_db import item_supports
 from repro.errors import (
     CodecError,
@@ -890,12 +890,7 @@ def mine_distributed(
         raw: list[tuple[tuple[int, ...], int]] = []
         for slot in sorted(node.results_by_slot):
             raw.extend(node.results_by_slot[slot])
-        out = [
-            (tuple(sorted(tbl.decode_ranks(ranks), key=sort_key)), support)
-            for ranks, support in raw
-        ]
-        out.sort(key=lambda pair: (len(pair[0]), [sort_key(i) for i in pair[0]]))
-        return out, tbl
+        return canonical_itemsets(raw, tbl), tbl
 
     try:
         final = cluster.run(_ft_program, states)

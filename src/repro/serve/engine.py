@@ -49,7 +49,7 @@ from repro.apps.classifier import first_matching_rule
 from repro.core.conditional import mine_conditional, mine_conditional_paths
 from repro.core.flat import FlatPLT
 from repro.core.plt import PLT
-from repro.core.rank import RankTable, sort_key
+from repro.core.rank import CanonicalDecoder, RankTable, sort_key
 from repro.data.transaction_db import resolve_min_support
 from repro.errors import (
     InvalidParameterError,
@@ -161,6 +161,7 @@ class PatternEngine:
         memory_cap: int | None = None,
     ):
         self.index = index
+        self._decoder = CanonicalDecoder(index.rank_table)
         self.cache = ServingCache(cache_size, coalesce=coalesce)
         self.admission = AdmissionController(
             max_inflight=max_inflight,
@@ -256,11 +257,6 @@ class PatternEngine:
             )
         return value
 
-    def _decode(self, ranks) -> tuple:
-        """Rank tuple -> canonical (sort_key-ordered) label tuple."""
-        labels = self.index.rank_table.decode_ranks(sorted(ranks))
-        return tuple(sorted(labels, key=sort_key))
-
     @staticmethod
     def _order_key(entry):
         items, support = entry
@@ -344,7 +340,7 @@ class PatternEngine:
                 governor.check_now()
             support = self.index.postings.support(ranks, governor=governor)
         result = {
-            "items": list(self._decode(ranks)),
+            "items": list(self._decoder.decode(ranks)),
             "known": True,
             "support": support,
             "frequent": support >= s,
@@ -391,7 +387,7 @@ class PatternEngine:
         except MiningInterrupted as exc:
             complete = False
             stop_reason = exc.reason
-        entries = [(self._decode(ranks), sup) for ranks, sup in pairs]
+        entries = [(self._decoder.decode(ranks), sup) for ranks, sup in pairs]
         entries.sort(key=self._order_key)
         return (entries, complete, stop_reason), complete
 
@@ -453,16 +449,13 @@ class PatternEngine:
             table = self.cache.peek(table_key)
             if table is None:
                 pairs = mine_conditional(self.index.postings, s, governor=governor)
-                decode = self.index.rank_table.decode_ranks
-                decoded = [
-                    (tuple(sorted(decode(ranks), key=sort_key)), sup)
-                    for ranks, sup in pairs
-                ]
                 # insertion order must match MiningResult.as_dict() — rule
                 # generation breaks sort ties by table iteration order, and
                 # the differential contract is bit-for-bit agreement
-                decoded.sort(key=lambda kv: (len(kv[0]), [sort_key(i) for i in kv[0]]))
-                table = {frozenset(items): sup for items, sup in decoded}
+                table = {
+                    frozenset(items): sup
+                    for items, sup in self._decoder.itemsets(pairs)
+                }
                 # memoized via the engine cache so repeated rule queries at
                 # other confidence levels skip the mine; a plain store (not
                 # get_or_compute) because admission already governs us here

@@ -77,8 +77,8 @@ class CountMinSketch:
     """Fixed-memory frequency counters with a one-sided (eps, delta) bound.
 
     >>> cms = CountMinSketch(epsilon=0.01, delta=0.01, seed=7)
-    >>> for rank in (1, 2, 1, 3, 1):
-    ...     cms.add(rank)
+    >>> [cms.add(rank) for rank in (1, 2, 1, 3, 1)]  # each add returns the new estimate
+    [1, 1, 2, 1, 3]
     >>> cms.estimate(1) >= 3  # never under-reports
     True
     >>> cms.estimate(99)  # unseen keys can only over-report

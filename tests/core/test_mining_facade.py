@@ -1,5 +1,7 @@
 """Tests for the high-level facade (mine_frequent_itemsets / MiningResult)."""
 
+import pickle
+
 import pytest
 
 from repro.core.mining import (
@@ -97,6 +99,15 @@ class TestFrequentItemset:
         with pytest.raises(AttributeError):
             fi.support = 2
 
+    def test_slotted_with_value_semantics(self):
+        fi = FrequentItemset(("a", "b"), 3)
+        assert not hasattr(fi, "__dict__")
+        assert fi == FrequentItemset(("a", "b"), 3) != FrequentItemset(("a",), 3)
+        assert hash(fi) == hash(FrequentItemset(("a", "b"), 3))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(fi, protocol))
+            assert clone == fi and clone.items == ("a", "b") and clone.support == 3
+
 
 class TestMiningResult:
     @pytest.fixture
@@ -129,6 +140,41 @@ class TestMiningResult:
     def test_support_of(self, result):
         assert result.support_of({"a", "c"}) == 2
         assert result.support_of({"q"}) is None
+
+    def test_support_of_agrees_with_as_dict_and_builds_once(self, monkeypatch):
+        result = mine_frequent_itemsets(DB, 1)
+        table = {frozenset(fi.items): fi.support for fi in result}
+        calls = []
+        real = FrequentItemset.as_frozenset
+        monkeypatch.setattr(
+            FrequentItemset, "as_frozenset", lambda fi: calls.append(1) or real(fi)
+        )
+        for itemset, support in table.items():
+            assert result.support_of(itemset) == support
+        assert result.support_of({"a", "q"}) is None
+        assert result.as_dict() == table
+        assert len(calls) == len(result)  # one build, then lookups only
+        result.as_dict()[frozenset("a")] = -1  # callers get a copy
+        assert result.support_of({"a"}) == table[frozenset("a")]
+
+    def test_from_ranks_matches_the_sorting_constructor(self):
+        from repro.core.plt import PLT
+        from repro.core.rank import sort_key
+
+        plt = PLT.from_transactions(DB, 1, order="support_desc")
+        pairs = [((3, 1), 1), ((1,), 4), ((2,), 2), ((1, 3), 1)]
+        built = MiningResult.from_ranks(
+            pairs, plt.rank_table, n_transactions=4, min_support=1, method="x"
+        )
+        decoded = {
+            frozenset(plt.rank_table.decode_ranks(r)): s for r, s in pairs
+        }
+        sorted_ = MiningResult(
+            [FrequentItemset(tuple(sorted(i, key=sort_key)), s) for i, s in decoded.items()],
+            n_transactions=4, min_support=1, method="x",
+        )
+        assert list(built) == list(sorted_)
+        assert (built.n_transactions, built.min_support, built.method) == (4, 1, "x")
 
     def test_semantic_equality(self):
         a = mine_frequent_itemsets(DB, 2, method="plt")
@@ -173,3 +219,23 @@ class TestMaximalAndClosed:
         result = mine_frequent_itemsets(small_random_db, 2)
         assert result.maximal().method.endswith("+maximal")
         assert result.closed().method.endswith("+closed")
+
+
+class TestMixedTypeTupleLabels:
+    """Tuple labels whose elements differ in type at one position."""
+
+    DB = [[(1, "a"), (1, 2)]] * 2 + [[(1, 2), ("z",)]]
+
+    @pytest.mark.parametrize("method", ["plt", "plt-topdown", "fpgrowth", "apriori"])
+    def test_every_miner_orders_them(self, method):
+        result = mine_frequent_itemsets(self.DB, 1, method=method)
+        assert result.as_dict() == {
+            frozenset({(1, "a")}): 2,
+            frozenset({(1, 2)}): 3,
+            frozenset({("z",)}): 1,
+            frozenset({(1, "a"), (1, 2)}): 2,
+            frozenset({(1, 2), ("z",)}): 1,
+        }
+        assert [fi.items for fi in result] == [
+            fi.items for fi in mine_frequent_itemsets(self.DB, 1, method="fpgrowth")
+        ]

@@ -1,8 +1,16 @@
 """Unit tests for the Rank function / RankTable."""
 
+import random
+
 import pytest
 
-from repro.core.rank import ORDER_POLICIES, RankTable, sort_key
+from repro.core.rank import (
+    ORDER_POLICIES,
+    CanonicalDecoder,
+    RankTable,
+    canonical_itemsets,
+    sort_key,
+)
 from repro.errors import UnknownItemError
 
 
@@ -148,3 +156,85 @@ class TestSortKey:
         a, b = object(), object()
         out = sorted([a, b], key=sort_key)
         assert set(out) == {a, b}  # just must not raise, order is by repr
+
+    def test_tuples_with_mixed_type_elements(self):
+        # regression: (1, "a") vs (1, 2) used to raise TypeError
+        items = [(1, "a"), (1, 2), (0, "z"), (1, 2.5), (1, b"x"), (1, (2,))]
+        out = sorted(items, key=sort_key)
+        assert out == sorted(reversed(items), key=sort_key)  # total order
+        assert out[0] == (0, "z")
+        # numbers keep comparing with each other, as before
+        assert out.index((1, 2)) < out.index((1, 2.5))
+
+    def test_tuples_that_compared_before_keep_their_order(self):
+        rng = random.Random(3)
+        pools = [
+            lambda: rng.randint(-3, 3),
+            lambda: rng.choice([0.5, 1.5, -2.0, 2]),
+            lambda: rng.choice("abc"),
+            lambda: (rng.randint(0, 2), rng.choice("xy")),
+            lambda: True if rng.random() < 0.5 else 1,
+        ]
+        for _ in range(200):
+            # tuples whose elements at each position share one kind
+            kinds = [rng.randrange(len(pools)) for _ in range(rng.randint(1, 3))]
+            items = list({tuple(pools[k]() for k in kinds) for _ in range(8)})
+            assert sorted(items, key=sort_key) == sorted(items)
+
+
+class TestCanonicalDecoder:
+    def _generic(self, pairs, table):
+        # the decode-and-sort the decoder replaces
+        rows = {frozenset(table.decode_ranks(r)): s for r, s in pairs}
+        out = [(tuple(sorted(items, key=sort_key)), s) for items, s in rows.items()]
+        out.sort(key=lambda p: (len(p[0]), [sort_key(i) for i in p[0]]))
+        return out
+
+    @pytest.mark.parametrize("order", ORDER_POLICIES)
+    def test_matches_generic_decode_and_sort(self, order):
+        rng = random.Random(7)
+        labels = [f"i{k}" for k in range(12)] + list(range(5)) + [("t", 1), ("t", "u")]
+        for _ in range(20):
+            supports = {item: rng.randint(1, 9) for item in rng.sample(labels, 10)}
+            table = RankTable.from_supports(supports, order=order)
+            n = len(table)
+            pairs = [
+                (tuple(rng.sample(range(1, n + 1), rng.randint(1, 4))), rng.randint(1, 50))
+                for _ in range(60)
+            ]
+            assert canonical_itemsets(pairs, table) == self._generic(pairs, table)
+
+    def test_identity_map_for_lexicographic_tables(self):
+        table = RankTable.from_items(["b", "a", 3, 1])
+        assert CanonicalDecoder(table)._position is None
+        unordered = RankTable(["b", "a"])
+        assert CanonicalDecoder(unordered)._position is not None
+        assert CanonicalDecoder(unordered).decode((1, 2)) == ("a", "b")
+
+    def test_unsorted_rank_tuples_come_out_sorted(self):
+        table = RankTable(list("abcd"))
+        assert canonical_itemsets([((3, 1), 2), ((4, 2, 1), 1)], table) == [
+            (("a", "c"), 2),
+            (("a", "b", "d"), 1),
+        ]
+        assert CanonicalDecoder(table).decode((4, 1, 2)) == ("a", "b", "d")
+
+    def test_repeated_itemsets_collapse(self):
+        table = RankTable(list("abc"))
+        out = canonical_itemsets([((1, 2), 5), ((2, 1), 5), ((3,), 2), ((1, 2), 5)], table)
+        assert out == [(("c",), 2), (("a", "b"), 5)]
+
+    @pytest.mark.parametrize("bad", [0, 4, -1])
+    def test_out_of_range_rank_raises(self, bad):
+        for table in (RankTable(list("abc")), RankTable(list("cba"))):
+            with pytest.raises(UnknownItemError):
+                canonical_itemsets([((1,), 3), ((2, bad), 1)], table)
+            with pytest.raises(UnknownItemError):
+                CanonicalDecoder(table).decode((bad, 1))
+
+    def test_empty_inputs(self):
+        table = RankTable(list("ab"))
+        assert canonical_itemsets([], table) == []
+        assert canonical_itemsets([((), 4), ((1,), 2)], table) == [((), 4), (("a",), 2)]
+        assert canonical_itemsets([], RankTable([])) == []
+        assert CanonicalDecoder(table).decode(()) == ()

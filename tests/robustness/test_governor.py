@@ -37,7 +37,10 @@ from repro.robustness.governor import (
 )
 
 
-def _dense_db(n_tx=1100, universe=36, tx_len=15, seed=42):
+def _dense_db(n_tx=1400, universe=36, tx_len=15, seed=42):
+    # 1400 rows: ~454k itemsets at support 8, enough that the unbounded
+    # facade run (kernel plus result materialization) stays well past five
+    # seconds
     import random
 
     rng = random.Random(seed)
